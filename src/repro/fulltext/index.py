@@ -166,12 +166,18 @@ class InvertedIndex:
 
     def stored_id_items(self) -> Iterator[tuple[int, str]]:
         """Iterate ``(catalog id, original text)`` pairs — the id-keyed
-        row source the engine's name scan partitions over."""
+        row source the engine's name scan partitions over.
+
+        The pairs are a snapshot taken now: a name scan consumes them
+        across many pulls while ``refresh()`` adds and removes
+        documents on another thread, and iterating the live dict would
+        raise "dictionary changed size during iteration". ``dict.copy``
+        is one interpreter-lock-held call, so the snapshot is atomic."""
         if not self.store_text:
             raise FullTextError(
                 "this index is not a replica: original text is not stored"
             )
-        return iter(self._stored_text.items())
+        return iter(self._stored_text.copy().items())
 
     # -- statistics -----------------------------------------------------------
 

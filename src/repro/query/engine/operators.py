@@ -34,7 +34,6 @@ from array import array
 from bisect import bisect_left
 from typing import Callable, Iterator
 
-from ...rvm.keyset import KeySet
 from ..ast import Axis
 from .batch import Batch, chunked, make_keys
 from .parallel import partitioned_filter
@@ -634,15 +633,61 @@ class TopKOperator(Operator):
 # Expansion (group navigation)
 # ---------------------------------------------------------------------------
 
+class _IdSpace:
+    """Expansion over the group replica in catalog-id space: nodes are
+    dictionary ids, converted from sort keys once at the input edge and
+    back once per emitted set."""
+
+    def __init__(self, ctx):
+        view = ctx.dict_view
+        self._id_for_key = view.id_for_key
+        #: frontier -> child ids of all of it (one bulk substrate call)
+        self.children = ctx.children_ids_of_many
+        self.parents = ctx.parent_ids_of
+        #: node set -> sorted key column
+        self.keys = view.keys_for_ids
+
+    def nodes(self, keys) -> list:
+        return list(map(self._id_for_key, keys))
+
+
+class _UriSpace:
+    """The same walk without the replica (or in the operator unit
+    tests' string mode): nodes are URIs and the graph is read through
+    ``ctx.children_of``, one call per view, so a failing source
+    degrades exactly the views it owns."""
+
+    def __init__(self, ctx):
+        self._ctx = ctx
+        self.keys = ctx.keys_for_set
+
+    def nodes(self, keys) -> list:
+        return list(map(self._ctx.uri_of_key, keys))
+
+    def children(self, frontier) -> list:
+        children_of = self._ctx.children_of
+        return [child for uri in frontier for child in children_of(uri)]
+
+    def parents(self, uri):
+        return self._ctx.parents_of(uri)
+
+
 class ExpandOperator(Operator):
     """Path-step navigation re-seated on the batch protocol.
 
-    Forward expansion is *pipelined*: input batches feed a multi-source
-    BFS whose discoveries stream out as they are made, with the shared
-    reached/processed sets doubling as the cycle guard (a group cycle
-    terminates because no URI is expanded twice). Backward and
-    bidirectional strategies need both frontiers materialized, so they
-    keep the pre-engine algorithms and emit their result sorted.
+    Forward expansion is *pipelined* and *frontier-at-a-time*: each
+    input batch seeds a level-synchronous multi-source BFS
+    (:meth:`_walk`) that gathers the children of a whole frontier in
+    one substrate call and dedupes them against the shared reached-set
+    with set algebra; every level's discoveries stream out before the
+    next input batch is pulled. The reached/processed sets double as
+    the cycle guard (a group cycle terminates because no view is
+    expanded twice). Backward and bidirectional strategies need both
+    frontiers materialized and emit their result sorted.
+
+    The walk runs in catalog-id space when the group replica is kept
+    (:class:`_IdSpace`) and in URI space otherwise (:class:`_UriSpace`)
+    — one loop, two node representations.
     """
 
     def __init__(self, input_op: Operator, candidates_op: Operator | None,
@@ -666,14 +711,16 @@ class ExpandOperator(Operator):
     def next_batch(self) -> Batch | None:
         if self._batches is None:
             ctx = self._ctx
-            size = ctx.engine.batch_size
-            if self.ordered:
-                keys = ctx.keys_for_set(self._materialized())
-                self._batches = chunked(keys, size, ordered=True,
-                                        view=ctx.dict_view)
+            view = ctx.dict_view
+            if view is not None and getattr(ctx, "supports_id_expansion",
+                                            False):
+                space = _IdSpace(ctx)
             else:
-                self._batches = chunked(self._forward_stream(), size,
-                                        view=ctx.dict_view)
+                space = _UriSpace(ctx)
+            keys = (space.keys(self._materialized(space)) if self.ordered
+                    else self._forward_stream(space))
+            self._batches = chunked(keys, ctx.engine.batch_size,
+                                    ordered=self.ordered, view=view)
         return next(self._batches, None)
 
     def close(self) -> None:
@@ -681,166 +728,82 @@ class ExpandOperator(Operator):
         if self.candidates_op is not None:
             self.candidates_op.close()
 
-    # -- pipelined forward expansion ---------------------------------------
+    # -- the forward walk --------------------------------------------------
 
-    def _forward_stream(self) -> Iterator:
-        """Yield *keys* of discovered views.
+    def _walk(self, space, frontiers) -> Iterator[set]:
+        """The one forward BFS: for each frontier that ``frontiers``
+        yields (pulled lazily — one per input batch), expand level by
+        level and yield each level's *newly* discovered node set.
 
-        With the group replica available the walk runs entirely in id
-        space (:meth:`_forward_stream_ids`) — catalog ids in, catalog
-        ids out, compressed keysets as the cycle guard. Without it (or
-        in the operator unit tests' string mode) the graph is walked in
-        URI space: ``children_of`` speaks URIs, so each hop converts
-        key→URI at the input edge and URI→key at the output edge."""
+        ``reached`` is shared across input batches, so a view is
+        discovered (and counted into ``expanded_views``) once however
+        many sources lead to it; on the descendant axis ``processed``
+        keeps a view — source or discovery — from being expanded
+        twice."""
         ctx = self._ctx
-        # per-edge conversions dominate the walk; bind them once
-        view = ctx.dict_view
-        if view is not None and getattr(ctx, "supports_id_expansion",
-                                        False):
-            yield from self._forward_stream_ids(view)
-            return
-        if view is not None:
-            uri_of, key_of = view.uri_for, view.key_for
-        else:
-            uri_of, key_of = ctx.uri_of_key, ctx.key_for_uri
-        children_of = ctx.children_of
-        candidates = (set(drain(self.candidates_op))
-                      if self.candidates_op is not None else None)
-        reached: set = set()  # keys
-        if self.axis is Axis.CHILD:
-            while True:
-                batch = self.input_op.next_batch()
-                if batch is None:
-                    break
-                for key in batch:
-                    for child in children_of(uri_of(key)):
-                        child_key = key_of(child)
-                        if child_key not in reached:
-                            reached.add(child_key)
-                            ctx.expanded_views += 1
-                            if candidates is None or child_key in candidates:
-                                yield child_key
-            return
-        # descendant axis: incremental multi-source BFS. ``reached`` is
-        # the cycle guard — a key discovered once is never re-expanded.
+        descend = self.axis is not Axis.CHILD
+        reached: set = set()
         processed: set = set()
-        while True:
-            batch = self.input_op.next_batch()
-            if batch is None:
-                return
-            for source in batch:
-                frontier = [source]
-                while frontier:
-                    key = frontier.pop()
-                    if key in processed:
-                        continue
-                    processed.add(key)
-                    for child in children_of(uri_of(key)):
-                        child_key = key_of(child)
-                        if child_key not in reached:
-                            reached.add(child_key)
-                            ctx.expanded_views += 1
-                            frontier.append(child_key)
-                            if candidates is None or child_key in candidates:
-                                yield child_key
-
-    def _forward_stream_ids(self, view) -> Iterator:
-        """The pipelined forward walk in id space: input sort keys
-        invert to catalog ids, the replica hands back child *ids*, and
-        the reached/processed guards are compressed keysets. The only
-        per-row conversion left is the id→sort-key array index on
-        emitted discoveries."""
-        ctx = self._ctx
-        id_for_key, key_for_id = view.id_for_key, view.key_for_id
-        children_ids_of = ctx.children_ids_of
-        candidates = (set(drain(self.candidates_op))
-                      if self.candidates_op is not None else None)
-        reached = KeySet()  # ids; .add doubles as the membership test
-        if self.axis is Axis.CHILD:
+        for frontier in frontiers:
             while True:
-                batch = self.input_op.next_batch()
-                if batch is None:
-                    return
-                for key in batch:
-                    for child in children_ids_of(id_for_key(key)):
-                        if reached.add(child):
-                            ctx.expanded_views += 1
-                            child_key = key_for_id(child)
-                            if candidates is None or child_key in candidates:
-                                yield child_key
-        # descendant axis: incremental multi-source BFS; ``reached`` is
-        # the cycle guard — an id discovered once is never re-expanded.
-        processed = KeySet()
-        while True:
-            batch = self.input_op.next_batch()
-            if batch is None:
-                return
-            for source in batch:
-                frontier = [id_for_key(source)]
-                while frontier:
-                    node = frontier.pop()
-                    if not processed.add(node):
-                        continue
-                    for child in children_ids_of(node):
-                        if reached.add(child):
-                            ctx.expanded_views += 1
-                            frontier.append(child)
-                            child_key = key_for_id(child)
-                            if candidates is None or child_key in candidates:
-                                yield child_key
+                if descend:
+                    frontier = set(frontier)  # a copy: ``new`` was yielded
+                    frontier -= processed
+                    processed |= frontier
+                if not frontier:
+                    break
+                new = set(space.children(frontier))
+                new -= reached
+                if not new:
+                    break
+                reached |= new
+                ctx.expanded_views += len(new)
+                yield new
+                if not descend:
+                    break
+                frontier = new
+
+    def _forward_stream(self, space) -> Iterator:
+        """Yield the *keys* of discovered views, a level at a time."""
+        candidates = (set(space.nodes(drain(self.candidates_op)))
+                      if self.candidates_op is not None else None)
+        frontiers = (space.nodes(batch.keys)
+                     for batch in iter(self.input_op.next_batch, None))
+        for new in self._walk(space, frontiers):
+            hits = new if candidates is None else new & candidates
+            if hits:
+                yield from space.keys(hits)
 
     # -- materialized strategies (backward / bidirectional) ----------------
 
-    def _materialized(self) -> set[str]:
-        """Both frontiers materialized as URI sets — these strategies
-        run the pre-engine graph algorithms unchanged in string space;
-        the caller converts the result back to sorted keys."""
-        ctx = self._ctx
-        sources = {ctx.uri_of_key(k) for k in drain(self.input_op)}
-        candidates = {ctx.uri_of_key(k) for k in drain(self.candidates_op)}
+    def _materialized(self, space) -> set:
+        """Both frontiers materialized as node sets; the caller binds
+        the answer back to sorted keys."""
+        sources = set(space.nodes(drain(self.input_op)))
+        candidates = set(space.nodes(drain(self.candidates_op)))
         if self.strategy == "backward" or len(candidates) < len(sources):
-            return self._backward(ctx, sources, candidates)
-        return self._forward_into(ctx, sources, candidates)
-
-    def _forward_into(self, ctx, sources: set[str],
-                      candidates: set[str]) -> set[str]:
-        reached: set[str] = set()
-        if self.axis is Axis.CHILD:
-            for uri in sources:
-                reached.update(ctx.children_of(uri))
-        else:
-            processed: set[str] = set()
-            frontier = list(sources)
-            while frontier:
-                uri = frontier.pop()
-                if uri in processed:
-                    continue
-                processed.add(uri)
-                for child in ctx.children_of(uri):
-                    if child not in reached:
-                        reached.add(child)
-                        frontier.append(child)
-        ctx.expanded_views += len(reached)
+            return self._backward(space, sources, candidates)
+        reached = set().union(*self._walk(space, [sources]))
         return reached & candidates
 
-    def _backward(self, ctx, sources: set[str],
-                  candidates: set[str]) -> set[str]:
-        out: set[str] = set()
+    def _backward(self, space, sources: set, candidates: set) -> set:
+        ctx = self._ctx
+        parents_of = space.parents
+        out: set = set()
         if self.axis is Axis.CHILD:
-            for uri in candidates:
-                parents = ctx.parents_of(uri)
+            for node in candidates:
+                parents = parents_of(node)
                 ctx.expanded_views += len(parents)
-                if parents & sources:
-                    out.add(uri)
+                if not sources.isdisjoint(parents):
+                    out.add(node)
             return out
-        for uri in candidates:
+        for node in candidates:
             # BFS up the reverse edges, early-exiting on the first source
-            seen: set[str] = set()
-            frontier = [uri]
+            seen: set = set()
+            frontier = [node]
             hit = False
             while frontier and not hit:
-                current = frontier.pop()
-                for parent in ctx.parents_of(current):
+                for parent in parents_of(frontier.pop()):
                     if parent in sources:
                         hit = True
                         break
@@ -849,5 +812,5 @@ class ExpandOperator(Operator):
                         frontier.append(parent)
             ctx.expanded_views += len(seen)
             if hit:
-                out.add(uri)
+                out.add(node)
         return out

@@ -405,6 +405,30 @@ class ExecutionContext:
         self.count("ctx.children_of")
         return self.group_replica.children_ids(view_id)
 
+    def children_ids_of_many(self, frontier) -> list[int]:
+        """The child ids of a whole frontier in one list (duplicates
+        kept) — :meth:`children_ids_of` for every node at once: counted
+        per node, checkpointed once per ``engine.batch_size`` nodes so
+        a huge frontier still observes cancellation promptly."""
+        self.count("ctx.children_of", len(frontier))
+        gather = self.group_replica.children_ids_of_many
+        size = self.engine.batch_size
+        if len(frontier) <= size:
+            self.checkpoint()
+            return gather(frontier)
+        nodes = list(frontier)
+        found: list[int] = []
+        for start in range(0, len(nodes), size):
+            self.checkpoint()
+            found += gather(nodes[start:start + size])
+        return found
+
+    def parent_ids_of(self, view_id: int):
+        """Reverse-edge catalog ids off the group replica, read-only
+        (only valid when :attr:`supports_id_expansion`)."""
+        self.count("ctx.parents_of")
+        return self.group_replica.parent_ids_view(view_id)
+
     def children_of(self, uri: str) -> tuple[str, ...]:
         self.checkpoint()
         self.count("ctx.children_of")

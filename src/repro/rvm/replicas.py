@@ -20,7 +20,8 @@ parents, and so do our ablation benchmarks. Parent sets are compressed
 
 from __future__ import annotations
 
-from typing import Iterator
+from itertools import chain, repeat
+from typing import Collection, Iterator
 
 from ..core.components import GroupComponent
 from ..core.identity import ViewId
@@ -103,9 +104,20 @@ class GroupReplica:
         return (self._set_children.get(oid, ())
                 + self._seq_children.get(oid, ()))
 
-    def parent_ids(self, oid: int) -> KeySet:
-        parents = self._parents.get(oid)
-        return parents.copy() if parents is not None else KeySet()
+    def children_ids_of_many(self, oids: Collection[int]) -> list[int]:
+        """The children of a whole frontier gathered into one list
+        (duplicates kept, no per-node grouping) — the bulk read the
+        engine's frontier-at-a-time expansion dedupes with set algebra."""
+        nothing = repeat(())
+        return [
+            *chain.from_iterable(map(self._set_children.get, oids, nothing)),
+            *chain.from_iterable(map(self._seq_children.get, oids, nothing)),
+        ]
+
+    def parent_ids_view(self, oid: int) -> Collection[int]:
+        """The stored reverse-edge set itself, not a copy: read-only,
+        for walks that only iterate and measure it."""
+        return self._parents.get(oid, ())
 
     def descendant_ids(self, oid: int, *,
                        max_depth: int | None = None) -> KeySet:

@@ -26,6 +26,7 @@ from repro.query.engine.operators import (
     MergeDiff,
     MergeIntersect,
     MergeUnion,
+    NameScan,
     Operator,
     SetScan,
     Sort,
@@ -339,3 +340,149 @@ class TestExpandOperator:
                                  Axis.CHILD, "forward"),
                   FakeCtx(graph=graph))
         assert sorted(out) == ["c", "d"]
+
+    def test_shared_children_and_self_loops_count_once(self):
+        # a diamond (a, b -> c), a self-loop on c, sources in two batches
+        graph = {"a": ("c",), "b": ("c", "d"), "c": ("c", "e")}
+        ctx = FakeCtx(batch_size=1, graph=graph)
+        out = run(ExpandOperator(StaticSource(["a"], ["b"]), None,
+                                 Axis.DESCENDANT, "forward"), ctx)
+        assert sorted(out) == ["c", "d", "e"]
+        assert ctx.expanded_views == 3
+
+    def test_limit_above_does_not_drain_the_input(self):
+        """Discoveries stream out per input batch, so a satisfied LIMIT
+        stops the walk from pulling the rest of a many-batch input."""
+        sources = [f"s{i:02d}" for i in range(40)]
+        graph = {s: (f"{s}/x", f"{s}/y") for s in sources}
+        source = StaticSource(*[[s] for s in sources])
+        limited = LimitOp(ExpandOperator(source, None, Axis.DESCENDANT,
+                                         "forward"), 3)
+        out = run(limited, FakeCtx(batch_size=2, graph=graph))
+        assert len(out) == 3
+        assert source.pulls <= 3  # not the 41 pulls a drain would take
+
+
+# -- expansion over the replica (catalog-id space) ---------------------------
+
+def replica_rvm(authority: str, adjacency: dict):
+    """An RVM whose group replica holds exactly ``adjacency`` (node
+    name -> child names; a node's URI is ``ViewId(authority, name)``)."""
+    from repro.core.identity import ViewId
+    from repro.core.resource_view import ResourceView
+    from repro.rvm import ResourceViewManager
+    views: dict = {}
+
+    def make(name):
+        if name not in views:
+            views[name] = ResourceView(
+                str(name),
+                group=lambda n=name: [make(m) for m in adjacency.get(n, ())],
+                view_id=ViewId(authority, str(name)),
+            )
+        return views[name]
+
+    rvm = ResourceViewManager()
+    for name in adjacency:
+        rvm.indexes.group_replica.add(make(name))
+    return rvm
+
+
+def _id_context(rvm, **kwargs):
+    from repro.query.executor import ExecutionContext
+    from repro.query.functions import FunctionTable
+    return ExecutionContext(rvm, FunctionTable(), **kwargs)
+
+
+class TestExpandOverReplica:
+    def test_cancellation_is_observed_within_one_chunk_of_a_frontier(self):
+        """A 10k-node frontier is gathered ``batch_size`` nodes at a
+        time with a checkpoint before each chunk: a token that fires
+        mid-frontier stops the walk at the next chunk boundary."""
+        size = 256
+        rvm = replica_rvm("cancelwalk",
+                          {"root": [f"leaf/{i}" for i in range(10_000)]})
+
+        class Cancelled(Exception):
+            pass
+
+        class Token:
+            fired = False
+
+            def check(self):
+                if self.fired:
+                    raise Cancelled
+
+        token = Token()
+        replica = rvm.indexes.group_replica
+        gather = replica.children_ids_of_many
+        chunks: list[int] = []
+
+        def spy(oids):
+            chunks.append(len(oids))
+            if len(chunks) == 4:  # the root, then 3 chunks of its leaves
+                token.fired = True
+            return gather(oids)
+
+        replica.children_ids_of_many = spy
+        ctx = _id_context(rvm, cancel_token=token,
+                          engine=EngineConfig(batch_size=size))
+        view = ctx.dict_view
+        expand = ExpandOperator(
+            StaticSource([view.key_for("cancelwalk://root")]), None,
+            Axis.DESCENDANT, "forward")
+        expand.open(ctx)
+        with pytest.raises(Cancelled):
+            list(drain(expand))
+        assert chunks == [1, size, size, size]  # nothing after it fired
+
+    def test_late_interned_child_takes_the_overlay_path(self):
+        """A child interned after the execution captured its dictionary
+        view has an id past the view's id→key array: it binds through
+        the string overlay and still materializes."""
+        from repro.core.identity import ViewId
+        from repro.core.resource_view import ResourceView
+        from repro.rvm.uridict import KEY_GAP
+        rvm = replica_rvm("latewalk", {"root": ["leaf/0", "leaf/1"]})
+        ctx = _id_context(rvm)
+        view = ctx.dict_view  # the snapshot: later ids are "late"
+        late = ResourceView("late", view_id=ViewId("latewalk", "leaf/late"))
+        parent = ResourceView("parent", group=lambda: [late],
+                              view_id=ViewId("latewalk", "leaf/0"))
+        rvm.indexes.group_replica.add(parent)
+        late_id = view._dictionary.id_of(late.view_id.uri)
+        assert late_id >= len(view._key_of_id)
+        expand = ExpandOperator(
+            StaticSource([view.key_for("latewalk://root")]), None,
+            Axis.DESCENDANT, "forward")
+        expand.open(ctx)
+        keys = list(drain(expand))
+        assert ctx.expanded_views == 3
+        assert sorted(view.uri_for(k) for k in keys) == sorted(
+            ViewId("latewalk", f"leaf/{n}").uri for n in (0, 1, "late"))
+        assert sum(1 for k in keys if k % KEY_GAP) == 1  # the overlay key
+
+
+# -- name scan ---------------------------------------------------------------
+
+class TestNameScan:
+    def test_name_index_may_change_between_pulls(self):
+        """The scan reads a snapshot of the name replica: a refresh()
+        that adds and removes names between two pulls must not break
+        the iteration (it used to raise "dictionary changed size during
+        iteration")."""
+        from repro.rvm import ResourceViewManager
+        rvm = ResourceViewManager()
+        names = rvm.indexes.name_index
+        uris = [f"namescan://doc/{i:02d}" for i in range(20)]
+        for uri in uris:
+            names.add(uri, "report.tex")
+        ctx = _id_context(rvm, engine=EngineConfig(batch_size=4))
+        scan = NameScan("*.tex")
+        scan.open(ctx)
+        first = scan.next_batch()
+        assert len(first) == 4
+        names.add("namescan://doc/new", "late.tex")
+        names.remove(uris[-1])
+        rest = list(drain(scan))
+        assert sorted([*first.uris, *ctx.dict_view.uris_for(rest)]) == uris
