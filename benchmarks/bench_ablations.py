@@ -20,7 +20,7 @@ is built the way it is.
 import time
 
 from repro.core.graph import traverse
-from repro.fulltext.query import Phrase
+from repro.query.engine import materialize_set
 from repro.query.executor import ExecutionContext
 from repro.query.functions import FunctionTable
 from repro.query.plan import (
@@ -38,11 +38,9 @@ def _context(harness):
 class TestIndexVsScan:
     def test_index_matches_scan(self, harness):
         rvm = harness.dataspace.rvm
-        ctx = _context(harness)
-        indexed = ctx.content_search("database", is_phrase=True,
-                                     wildcard=False)
+        indexed = materialize_set(ContentSearch(text="database"),
+                                  _context(harness))
         scanned = set()
-        phrase = Phrase.of("database")
         for uri, view in rvm.sync.live_views.items():
             content = view.content
             text = content.text() if content.is_finite else content.take(4096)
@@ -53,7 +51,7 @@ class TestIndexVsScan:
 
     def test_index_lookup_speed(self, harness, benchmark):
         ctx = _context(harness)
-        benchmark(ctx.content_search, "database", is_phrase=True,
+        benchmark(ctx.content_search_ids, "database", is_phrase=True,
                   wildcard=False)
 
     def test_full_scan_speed(self, harness, benchmark):
@@ -81,14 +79,14 @@ class TestCandidatePushdown:
         ctx = _context(harness)
         from repro.query.ast import Axis
         from repro.query.plan import ExpandStep, NameEquals
-        pushed = ExpandStep(
+        pushed = materialize_set(ExpandStep(
             input=NameEquals(name="papers"), axis=Axis.DESCENDANT,
             candidates=NamePattern(pattern="*.tex"),
-        ).execute(ctx)
-        unfiltered = ExpandStep(
+        ), ctx)
+        unfiltered = materialize_set(ExpandStep(
             input=NameEquals(name="papers"), axis=Axis.DESCENDANT,
             candidates=None,
-        ).execute(_context(harness))
+        ), _context(harness))
         post = {uri for uri in unfiltered
                 if harness.dataspace.rvm.indexes.name_of(uri).endswith(".tex")}
         assert pushed == post
@@ -99,10 +97,10 @@ class TestCandidatePushdown:
 
         def run():
             ctx = _context(harness)
-            return ExpandStep(
+            return materialize_set(ExpandStep(
                 input=NameEquals(name="papers"), axis=Axis.DESCENDANT,
                 candidates=NamePattern(pattern="*.tex"),
-            ).execute(ctx)
+            ), ctx)
 
         assert benchmark(run)
 
@@ -142,14 +140,14 @@ class TestConjunctReordering:
     def test_orders_agree_on_results(self, harness):
         worst = Intersect(self._parts())
         best = Intersect(tuple(sorted(self._parts(), key=lambda p: p.COST)))
-        assert worst.execute(_context(harness)) == \
-            best.execute(_context(harness))
+        assert materialize_set(worst, _context(harness)) == \
+            materialize_set(best, _context(harness))
 
     def test_optimized_order_speed(self, harness, benchmark):
         plan = Intersect(tuple(sorted(self._parts(), key=lambda p: p.COST)))
 
         def run():
-            return plan.execute(_context(harness))
+            return materialize_set(plan, _context(harness))
 
         benchmark(run)
 
@@ -157,6 +155,6 @@ class TestConjunctReordering:
         plan = Intersect(tuple(sorted(self._parts(), key=lambda p: -p.COST)))
 
         def run():
-            return plan.execute(_context(harness))
+            return materialize_set(plan, _context(harness))
 
         benchmark(run)

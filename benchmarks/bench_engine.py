@@ -1,11 +1,11 @@
-"""Batched-engine benchmarks: LIMIT, parallel scan, dictionary keys,
-compressed keysets.
+"""Batched-engine benchmarks: LIMIT, parallel scan, compressed keysets.
 
 Run as a script (CI smokes ``--quick``)::
 
     PYTHONPATH=src python benchmarks/bench_engine.py --quick
 
-Four experiments:
+Three experiments (a fourth, the string-key vs int-key merge pipeline,
+went with the engine's string mode; its numbers stay in EXPERIMENTS.md):
 
 **LIMIT flatness.** A name-pattern scan is the engine's streaming worst
 case — every catalog name is regex-tested. Without a limit its cost
@@ -21,14 +21,6 @@ here simulated with a GIL-releasing sleep) gains ~Nx. Both regimes are
 measured and reported; only the latency regime's speedup is asserted,
 because that is the only speedup the engine honestly claims.
 
-**Dictionary keys.** The operators are representation-generic, so the
-*same* merge pipeline (intersect + union + diff) is driven twice over
-identical data: once with URI-string key columns (the pre-dictionary
-representation) and once with the dictionary's ``int64`` sort keys
-(DESIGN.md §4h). View URIs share long prefixes, so every string compare
-re-walks them while an int compare is one machine word — the int path
-must win, and the script *asserts* the speedup.
-
 **Compressed keysets.** The index layer stores catalog-id sets as
 roaring-style :class:`~repro.rvm.keyset.KeySet` s (DESIGN.md §4j):
 dense chunks are word-parallel bitmaps, so AND/OR/ANDNOT on the
@@ -36,8 +28,7 @@ dense-majority sets an index bucket typically holds must beat
 ``set[int]`` — asserted at >= 1.2x on 100k+ ids. The same experiment
 pins the scan edge: handing a keyset to a dictionary view via
 ``keys_for_ids`` is pure integer gathering and leaves the dictionary's
-string-lookup counter *flat*, where the ``set[str]`` path pays one
-string conversion per URI; the counter assertion is exact.
+string-lookup counter *flat*; the counter assertion is exact.
 """
 
 from __future__ import annotations
@@ -156,118 +147,7 @@ def bench_parallel(rows_cpu: int, rows_latency: int,
     return True
 
 
-# -- experiment 3: dictionary-encoded key columns ----------------------------
-
-class _BenchCtx:
-    """The slice of ExecutionContext the merge operators touch."""
-
-    def __init__(self, batch_size: int, view=None):
-        from repro.query.engine import EngineConfig
-        self.engine = EngineConfig(batch_size=batch_size)
-        self.dict_view = view
-
-    def checkpoint(self) -> None:
-        pass
-
-    def count(self, name: str, amount: int = 1) -> None:
-        pass
-
-
-class _Source:
-    """Pre-built ordered batches (no substrate, pure operator cost)."""
-
-    ordered = True
-
-    def __init__(self, batches):
-        self._batches = batches
-        self._index = 0
-
-    def open(self, ctx) -> None:
-        self._index = 0
-
-    def next_batch(self):
-        if self._index >= len(self._batches):
-            return None
-        batch = self._batches[self._index]
-        self._index += 1
-        return batch
-
-    def close(self) -> None:
-        pass
-
-
-def _merge_pipeline(make_source, ctx):
-    """intersect(a, b) ∪ c, minus d — every sorted-merge operator once,
-    comparing keys all the way down."""
-    from repro.query.engine.operators import (
-        MergeDiff, MergeIntersect, MergeUnion, drain,
-    )
-    op = MergeDiff(
-        universe=MergeUnion([
-            MergeIntersect([make_source(0), make_source(1)]),
-            make_source(2),
-        ]),
-        child=make_source(3),
-    )
-    op.open(ctx)
-    total = 0
-    for _ in drain(op):
-        total += 1
-    return total
-
-
-def bench_dictionary(rows: int, threshold: float = 1.05) -> bool:
-    from array import array
-
-    from repro.query.engine import chunked
-    from repro.rvm.uridict import UriDictionary
-
-    # realistic view URIs: long shared prefixes, numeric tails
-    uris = sorted(
-        f"imap://user@example.org/INBOX/Archive/2024/folder-{i % 7}"
-        f"/message-{i:07d}/part-{i % 3}"
-        for i in range(rows)
-    )
-    # four overlapping sorted slices exercise match and skip paths
-    slices = [uris[::2], uris[1::2], uris[::3], uris[::5]]
-
-    dictionary = UriDictionary()
-    dictionary.intern_many(uris)
-    view = dictionary.view()
-
-    def string_source(index: int) -> _Source:
-        return _Source(list(chunked(tuple(slices[index]), 256,
-                                    ordered=True)))
-
-    key_columns = [array("q", (view.key_for(u) for u in part))
-                   for part in slices]
-
-    def int_source(index: int) -> _Source:
-        return _Source(list(chunked(key_columns[index], 256,
-                                    ordered=True, view=view)))
-
-    string_ctx = _BenchCtx(256)
-    int_ctx = _BenchCtx(256, view=view)
-    assert (_merge_pipeline(string_source, string_ctx)
-            == _merge_pipeline(int_source, int_ctx))  # same answer
-
-    string_s = _best(lambda: _merge_pipeline(string_source, string_ctx))
-    int_s = _best(lambda: _merge_pipeline(int_source, int_ctx))
-    speedup = string_s / int_s
-    print(format_table(
-        ["key column", "rows", "pipeline [ms]", "speedup"],
-        [["URI strings", rows, string_s * 1000, 1.0],
-         ["dictionary int64", rows, int_s * 1000, speedup]],
-        title="merge pipeline: string keys vs dictionary keys",
-    ))
-    if speedup < threshold:
-        print(f"FAIL: dictionary path speedup {speedup:.2f}x < "
-              f"{threshold:.2f}x")
-        return False
-    return True
-
-
-# -- experiment 4: compressed keysets (set algebra + scan edge) --------------
+# -- experiment 3: compressed keysets (set algebra + scan edge) --------------
 
 def bench_keysets(n: int, threshold: float = 1.2) -> bool:
     """Keyset algebra vs ``set[int]``, and the stringless scan edge."""
@@ -304,8 +184,7 @@ def bench_keysets(n: int, threshold: float = 1.2) -> bool:
     algebra_speedup = set_s / keyset_s
 
     # the scan edge: a half-universe index result entering the engine.
-    # intern_many over sorted URIs assigns id i to uris[i], so the id
-    # keyset and the string set name the same views.
+    # intern_many over sorted URIs assigns id i to uris[i].
     uris = sorted(
         f"imap://user@example.org/INBOX/Archive/2024/folder-{i % 7}"
         f"/message-{i:07d}/part-{i % 3}"
@@ -315,40 +194,29 @@ def bench_keysets(n: int, threshold: float = 1.2) -> bool:
     dictionary.intern_many(uris)
     view = dictionary.view()
     ids = KeySet.from_sorted(range(0, n, 2))
-    uri_set = {uris[i] for i in range(0, n, 2)}
 
     lookups = dictionary.lookups
     handoffs = dictionary.handoffs
     keys_from_ids = view.keys_for_ids(ids)
-    assert dictionary.lookups == lookups  # conversion eliminated
+    assert dictionary.lookups == lookups  # no string conversion
     assert dictionary.handoffs == handoffs + len(keys_from_ids)
-    keys_from_strings = view.keys_for_set(uri_set)
-    assert dictionary.lookups == lookups + len(keys_from_strings)
     assert isinstance(keys_from_ids, array)
-    assert keys_from_ids == keys_from_strings  # same key column
+    assert view.uris_for(keys_from_ids) == tuple(uris[::2])
 
     ids_s = _best(lambda: view.keys_for_ids(ids))
-    strings_s = _best(lambda: view.keys_for_set(uri_set))
-    edge_speedup = strings_s / ids_s
 
     print(format_table(
         ["operation", "ids", "time [ms]", "speedup"],
         [["set[int] AND/OR/ANDNOT", n, set_s * 1000, 1.0],
          ["KeySet and_/or_/andnot", n, keyset_s * 1000, algebra_speedup],
-         ["keys_for_set (strings)", n // 2, strings_s * 1000, 1.0],
-         ["keys_for_ids (keyset)", n // 2, ids_s * 1000, edge_speedup]],
+         ["keys_for_ids (keyset)", n // 2, ids_s * 1000, "-"]],
         title="compressed keysets: set algebra and the scan edge",
     ))
-    ok = True
     if algebra_speedup < threshold:
         print(f"FAIL: keyset algebra speedup {algebra_speedup:.2f}x < "
               f"{threshold:.2f}x on {n} ids")
-        ok = False
-    if edge_speedup < 1.0:
-        print(f"WARN: keys_for_ids did not beat keys_for_set "
-              f"({edge_speedup:.2f}x); the lookup-counter assertions "
-              f"above still pin the eliminated conversions")
-    return ok
+        return False
+    return True
 
 
 def main(argv=None) -> int:
@@ -366,10 +234,6 @@ def main(argv=None) -> int:
     print()
     ok = bench_parallel(rows_cpu, rows_latency,
                         threads=args.threads) and ok
-    print()
-    # below ~60k rows the margin drowns in per-row interpreter
-    # overhead; at 60k the string columns also fall out of cache
-    ok = bench_dictionary(60_000 if args.quick else 120_000) and ok
     print()
     # the keyset claim is "1.2x at 100k+ ids" — quick mode keeps the
     # asserted operating point, full mode scales it up

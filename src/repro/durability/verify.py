@@ -39,7 +39,7 @@ from ..query.ast import (
     Step,
     UnionExpr,
 )
-from ..query.engine import reference_execute
+from ..query.engine import materialize_set, reference_execute
 from ..query.executor import ExecutionContext
 from ..query.optimizer import optimize
 
@@ -151,7 +151,9 @@ def verify_engine_matches_oracle(dataspace, *, queries=None,
     report = VerifyReport()
     for query in queries:
         plan = optimize(processor._build(query))  # noqa: SLF001 - internal harness
-        engine = plan.execute(ExecutionContext(rvm, processor.functions))
+        engine = materialize_set(
+            plan, ExecutionContext(rvm, processor.functions)
+        )
         oracle = reference_execute(
             plan, ExecutionContext(rvm, processor.functions)
         )

@@ -1,9 +1,8 @@
 """The unified metrics registry: counters, gauges and histograms.
 
-Grown out of ``repro.service.metrics`` (which survives as a
-compatibility shim importing from here) into the process-global
-telemetry spine: every subsystem records under one dotted naming
-convention —
+Grown out of the query service's private registry into the
+process-global telemetry spine: every subsystem records under one
+dotted naming convention —
 
 * ``query.*``       — the query processor and batched engine
 * ``sync.*``        — the synchronization manager and push bus

@@ -3,9 +3,11 @@
 Plans still come from :mod:`repro.query.plan` / the optimizer; this
 package executes them: :func:`compile_plan` lowers the node tree to
 ``open()/next_batch()/close()`` operators, :func:`iter_batches` drives
-the root, and :func:`materialize_set` is the compatibility shim that
-gives the old "a plan yields a ``set[str]``" contract to callers that
-still want it (``PlanNode.execute`` delegates here).
+the root, and :func:`materialize_set` drains it into the answer's URI
+set for callers that want the whole result at once (join inputs, the
+differential suites). Between a scan leaf and ``Batch.uris`` the only
+key representation is the dictionary's ``int64`` sort keys; URI strings
+are the working representation of :mod:`.reference` alone.
 """
 
 from __future__ import annotations
@@ -69,9 +71,8 @@ def iter_batches(plan, ctx, *, require_ordered: bool = False
 
 
 def materialize_set(plan, ctx) -> set[str]:
-    """The compatibility shim: run the batched engine to completion and
-    collect the distinct URIs, restoring the old ``set[str]`` root
-    contract."""
+    """Run the batched engine to completion and collect the distinct
+    URIs of the answer."""
     out: set[str] = set()
     for batch in iter_batches(plan, ctx):
         out.update(batch.uris)

@@ -9,10 +9,9 @@ result boundary materializes strings, through the lazy :attr:`uris`
 property and the batch's captured
 :class:`~repro.rvm.uridict.DictionaryView`.
 
-The operators themselves are representation-generic: any ordered,
-hashable key type flows through them, so a batch built without a view
-(``view=None``) carries its key values — URI strings in the operator
-unit tests — straight through to :attr:`uris`.
+Every batch carries the view its keys came from — there is no
+view-less mode; the operator unit tests bind their fixtures through a
+private dictionary instead.
 
 ``ordered=True`` asserts the stream property the merge operators rely
 on: keys are strictly increasing *within the batch and across
@@ -26,38 +25,26 @@ alongside keys instead of re-looking them up).
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Iterable, Iterator
 
 #: Default rows per batch. Large enough to amortize per-batch overhead
 #: (one checkpoint, one counter bump), small enough that a ``LIMIT 10``
 #: pulls a sliver of the corpus.
 DEFAULT_BATCH_SIZE = 256
 
-_UNSET = object()
-
-
-def make_keys(values, view) -> Sequence:
-    """Pack ``values`` as a key column: ``array('q')`` under a
-    dictionary view, a plain tuple in string (view-less) mode."""
-    if view is not None:
-        return values if isinstance(values, array) else array("q", values)
-    return values if isinstance(values, tuple) else tuple(values)
-
-
 class Batch:
     """One chunk of an operator's output stream."""
 
     __slots__ = ("keys", "scores", "ordered", "view", "_uris")
 
-    def __init__(self, keys=None, scores=None, ordered: bool = False,
-                 *, view=None, uris=None):
-        if keys is None:
-            keys = () if uris is None else uris
+    def __init__(self, keys: array, scores=None, ordered: bool = False,
+                 *, view):
         self.keys = keys
         self.scores = scores
         self.ordered = ordered
         self.view = view
-        self._uris = _UNSET
+        self._uris: tuple[str, ...] | None = None
         if scores is not None and len(scores) != len(keys):
             raise ValueError("score column length must match keys")
 
@@ -71,12 +58,8 @@ class Batch:
         dictionary indirection here and only here.
         """
         uris = self._uris
-        if uris is _UNSET:
-            if self.view is None:
-                uris = tuple(self.keys)
-            else:
-                uris = self.view.uris_for(self.keys)
-            self._uris = uris
+        if uris is None:
+            uris = self._uris = self.view.uris_for(self.keys)
         return uris
 
     def __len__(self) -> int:
@@ -101,24 +84,18 @@ class Batch:
         )
 
 
-def chunked(keys: Iterable, size: int, *, ordered: bool = False,
-            view=None) -> Iterator[Batch]:
-    """Slice a key sequence into :class:`Batch` es of ``size`` rows.
+def chunked(keys: array, size: int, *, ordered: bool = False,
+            view) -> Iterator[Batch]:
+    """Slice a key column into :class:`Batch` es of ``size`` rows (an
+    ``array`` slice stays an ``array``)."""
+    for start in range(0, len(keys), size):
+        yield Batch(keys[start:start + size], ordered=ordered, view=view)
 
-    A sliceable sequence (an ``array('q')`` from a scan, a sorted list)
-    is sliced directly — an ``array`` slice stays an ``array``; other
-    iterables are buffered.
-    """
-    if isinstance(keys, (array, tuple, list)):
-        for start in range(0, len(keys), size):
-            yield Batch(keys[start:start + size], ordered=ordered,
-                        view=view)
-        return
-    buffer: list = []
-    for key in keys:
-        buffer.append(key)
-        if len(buffer) >= size:
-            yield Batch(make_keys(buffer, view), ordered=ordered, view=view)
-            buffer = []
-    if buffer:
-        yield Batch(make_keys(buffer, view), ordered=ordered, view=view)
+
+def chunked_stream(keys: Iterable[int], size: int, *,
+                   view) -> Iterator[Batch]:
+    """Buffer a lazily produced key stream into unordered batches of
+    ``size`` rows, pulling no further ahead than the batch in hand."""
+    keys = iter(keys)
+    while column := array("q", islice(keys, size)):
+        yield Batch(column, view=view)

@@ -74,7 +74,7 @@ def _physical(node: PlanNode, ctx, ordered: bool) -> Operator:
         # it serves ordered and unordered parents alike
         return CatalogScan()
     if isinstance(node, RootViews):
-        return SetScan(lambda c: c.root_uris())
+        return SetScan(lambda c: c.root_ids())
     if isinstance(node, ContentSearch):
         return SetScan(lambda c: c.content_search_ids(
             node.text, is_phrase=node.is_phrase, wildcard=node.wildcard

@@ -6,13 +6,13 @@ and streams :class:`~repro.query.engine.batch.Batch` es to its parent.
 idempotent and releases children (a parent may close early — that is
 how ``Limit`` stops a scan mid-corpus).
 
-The operators are *representation-generic*: they compare, hash and sort
-whatever the batches' ``keys`` column holds. In production that is the
-URI dictionary's ``int64`` sort keys (DESIGN.md §4h) — the scans convert
-URIs to keys at the leaves via the execution context, and only the
-result boundary maps keys back to strings. In the operator unit tests
-the very same code runs over plain URI strings (``view=None``), because
-string order and key order obey the same contract.
+One key representation flows between a scan leaf and ``Batch.uris``:
+the URI dictionary's ``int64`` sort keys (DESIGN.md §4h) in
+``array('q')`` columns. Every scan leaf receives catalog ids from the
+execution context and binds them to keys through the execution's
+:class:`~repro.rvm.uridict.DictionaryView`; only the result boundary
+maps keys back to strings. The operator unit tests run this same code
+over a private dictionary, so they exercise what production runs.
 
 Two stream disciplines coexist (see DESIGN.md §4e):
 
@@ -35,7 +35,7 @@ from bisect import bisect_left
 from typing import Callable, Iterator
 
 from ..ast import Axis
-from .batch import Batch, chunked, make_keys
+from .batch import Batch, chunked, chunked_stream
 from .parallel import partitioned_filter
 
 
@@ -65,10 +65,8 @@ def drain(op: Operator) -> Iterator:
             batch = op.next_batch()
             if batch is None:
                 return
-            keys = batch.keys
-            # unbox int64 columns once per batch (see _Cursor._load)
-            yield from (keys.tolist() if isinstance(keys, array)
-                        else keys)
+            # unbox the int64 column once per batch (see _Cursor._load)
+            yield from batch.keys.tolist()
     finally:
         op.close()
 
@@ -96,12 +94,10 @@ class _Cursor:
                 self.exhausted = True
                 return False
             if len(batch):
-                keys = batch.keys
-                # int64 columns are unboxed once per batch: indexing an
-                # array boxes a fresh int object on every access, which
-                # would cost more than the integer compares save
-                self._keys = keys.tolist() if isinstance(keys, array) \
-                    else keys
+                # the int64 column is unboxed once per batch: indexing
+                # an array boxes a fresh int object on every access,
+                # which would cost more than the integer compares save
+                self._keys = batch.keys.tolist()
                 self._pos = 0
                 return True
 
@@ -140,10 +136,10 @@ class SetScan(Operator):
     ``fetch`` runs once, on the first pull — a ``SetScan`` that is
     opened but never pulled (an intersection short-circuited by an
     earlier empty input) does no substrate work at all, matching the
-    pre-engine executor's sequential short-circuit behaviour. It may
-    return a :class:`~repro.rvm.keyset.KeySet` of catalog ids (the
-    id-keyed indexes; zero-copy handoff to sort keys) or a ``set[str]``
-    (fallback scans); ``ctx.keys_for_set`` dispatches on the type.
+    pre-engine executor's sequential short-circuit behaviour. It
+    returns catalog ids — a :class:`~repro.rvm.keyset.KeySet` or any
+    iterable of them — which the dictionary view binds to sort keys by
+    integer indexing.
     """
 
     ordered = True
@@ -160,9 +156,10 @@ class SetScan(Operator):
     def next_batch(self) -> Batch | None:
         if self._chunks is None:
             ctx = self._ctx
-            keys = ctx.keys_for_set(self._fetch(ctx))
-            self._chunks = chunked(keys, ctx.engine.batch_size,
-                                   ordered=True, view=ctx.dict_view)
+            view = ctx.dict_view
+            self._chunks = chunked(view.keys_for_ids(self._fetch(ctx)),
+                                   ctx.engine.batch_size, ordered=True,
+                                   view=view)
         return next(self._chunks, None)
 
 
@@ -192,9 +189,10 @@ class CatalogScan(Operator):
         ctx.checkpoint()
         if self._chunks is None:
             ctx.count("ctx.catalog_scan")
-            keys = ctx.keys_for_set(ctx.all_ids())
-            self._chunks = chunked(keys, ctx.engine.batch_size,
-                                   ordered=True, view=ctx.dict_view)
+            view = ctx.dict_view
+            self._chunks = chunked(view.keys_for_ids(ctx.all_ids()),
+                                   ctx.engine.batch_size, ordered=True,
+                                   view=view)
         batch = next(self._chunks, None)
         if batch is not None and len(batch):
             ctx.count("engine.rows_scanned", len(batch))
@@ -222,32 +220,12 @@ class NameScan(Operator):
         self._regex = None
         self._parallel_chunks: Iterator[Batch] | None = None
         self._done = False
-        self._rows_are_ids = False
 
     def open(self, ctx) -> None:
         self._ctx = ctx
         self._rows = None
         self._parallel_chunks = None
         self._done = False
-        self._rows_are_ids = False
-
-    def _row_source(self):
-        """``(row key, name)`` pairs: catalog ids straight off the name
-        replica when it exists (the matched rows then bind to sort keys
-        by integer indexing), URIs off the catalog otherwise."""
-        rvm = self._ctx.rvm
-        if rvm.indexes.policy.index_names:
-            self._rows_are_ids = True
-            return iter(rvm.indexes.name_index.stored_id_items())
-        return ((record.uri, record.name)
-                for record in rvm.catalog.all_records() if record.name)
-
-    def _bind(self, row_keys):
-        """Matched row keys to a sort-key column, in input order."""
-        ctx = self._ctx
-        if self._rows_are_ids:
-            return ctx.keys_in_order_ids(row_keys)
-        return ctx.keys_in_order(row_keys)
 
     def _start(self) -> None:
         from ..plan import wildcard_regex
@@ -256,7 +234,7 @@ class NameScan(Operator):
         self._regex = wildcard_regex(self.pattern)
         config = ctx.engine
         if config.scan_threads > 1:
-            rows = list(self._row_source())
+            rows = list(ctx.name_rows())
             if len(rows) >= config.parallel_threshold:
                 ctx.count("ctx.name_scan_parallel")
                 ctx.count("engine.rows_scanned", len(rows))
@@ -265,14 +243,15 @@ class NameScan(Operator):
                     rows, lambda row: regex.match(row[1]) is not None,
                     threads=config.scan_threads,
                 )
+                view = ctx.dict_view
                 self._parallel_chunks = chunked(
-                    self._bind([key for key, _ in matched]),
-                    config.batch_size, view=ctx.dict_view,
+                    view.keys_in_order_ids([doc for doc, _ in matched]),
+                    config.batch_size, view=view,
                 )
                 return
             self._rows = iter(rows)
             return
-        self._rows = self._row_source()
+        self._rows = ctx.name_rows()
 
     def next_batch(self) -> Batch | None:
         if self._done:
@@ -290,10 +269,10 @@ class NameScan(Operator):
         regex = self._regex
         matched: list = []
         scanned = 0
-        for row_key, name in self._rows:
+        for doc, name in self._rows:
             scanned += 1
             if regex.match(name):
-                matched.append(row_key)
+                matched.append(doc)
                 if len(matched) >= size:
                     break
         else:
@@ -302,7 +281,8 @@ class NameScan(Operator):
             ctx.count("engine.rows_scanned", scanned)
         if not matched:
             return None
-        return Batch(self._bind(matched), view=ctx.dict_view)
+        view = ctx.dict_view
+        return Batch(view.keys_in_order_ids(matched), view=view)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +336,7 @@ class MergeIntersect(Operator):
                 break
         if not out:
             return None
-        return Batch(make_keys(out, ctx.dict_view), ordered=True,
-                     view=ctx.dict_view)
+        return Batch(array("q", out), ordered=True, view=ctx.dict_view)
 
     def _finish(self) -> None:
         self._done = True
@@ -414,8 +393,7 @@ class MergeUnion(Operator):
                 heapq.heappush(heap, (cursor.value, index))
         if not out:
             return None
-        return Batch(make_keys(out, ctx.dict_view), ordered=True,
-                     view=ctx.dict_view)
+        return Batch(array("q", out), ordered=True, view=ctx.dict_view)
 
     def close(self) -> None:
         for child in self.children:
@@ -450,13 +428,11 @@ class ConcatUnion(Operator):
                 child.close()
                 self._index += 1
                 continue
-            keys = batch.keys
-            if isinstance(keys, array):  # unbox once (see _Cursor._load)
-                keys = keys.tolist()
-            fresh = [k for k in keys if k not in self._seen]
+            fresh = [k for k in batch.keys.tolist()  # unboxed once
+                     if k not in self._seen]
             if fresh:
                 self._seen.update(fresh)
-                return Batch(make_keys(fresh, batch.view), view=batch.view)
+                return Batch(array("q", fresh), view=batch.view)
         return None
 
     def close(self) -> None:
@@ -502,8 +478,7 @@ class MergeDiff(Operator):
             u.advance()
         if not out:
             return None
-        return Batch(make_keys(out, ctx.dict_view), ordered=True,
-                     view=ctx.dict_view)
+        return Batch(array("q", out), ordered=True, view=ctx.dict_view)
 
     def close(self) -> None:
         self.universe.close()
@@ -529,7 +504,7 @@ class Sort(Operator):
     def next_batch(self) -> Batch | None:
         if self._chunks is None:
             ctx = self._ctx
-            keys = make_keys(sorted(set(drain(self.child))), ctx.dict_view)
+            keys = array("q", sorted(set(drain(self.child))))
             self._chunks = chunked(keys, ctx.engine.batch_size,
                                    ordered=True, view=ctx.dict_view)
         return next(self._chunks, None)
@@ -618,7 +593,7 @@ class TopKOperator(Operator):
             view = self._ctx.dict_view
             size = self._ctx.engine.batch_size
             self._chunks = iter([
-                Batch(make_keys([k for k, _ in best[i:i + size]], view),
+                Batch(array("q", [k for k, _ in best[i:i + size]]),
                       scores=tuple(s for _, s in best[i:i + size]),
                       view=view)
                 for i in range(0, len(best), size)
@@ -633,45 +608,6 @@ class TopKOperator(Operator):
 # Expansion (group navigation)
 # ---------------------------------------------------------------------------
 
-class _IdSpace:
-    """Expansion over the group replica in catalog-id space: nodes are
-    dictionary ids, converted from sort keys once at the input edge and
-    back once per emitted set."""
-
-    def __init__(self, ctx):
-        view = ctx.dict_view
-        self._id_for_key = view.id_for_key
-        #: frontier -> child ids of all of it (one bulk substrate call)
-        self.children = ctx.children_ids_of_many
-        self.parents = ctx.parent_ids_of
-        #: node set -> sorted key column
-        self.keys = view.keys_for_ids
-
-    def nodes(self, keys) -> list:
-        return list(map(self._id_for_key, keys))
-
-
-class _UriSpace:
-    """The same walk without the replica (or in the operator unit
-    tests' string mode): nodes are URIs and the graph is read through
-    ``ctx.children_of``, one call per view, so a failing source
-    degrades exactly the views it owns."""
-
-    def __init__(self, ctx):
-        self._ctx = ctx
-        self.keys = ctx.keys_for_set
-
-    def nodes(self, keys) -> list:
-        return list(map(self._ctx.uri_of_key, keys))
-
-    def children(self, frontier) -> list:
-        children_of = self._ctx.children_of
-        return [child for uri in frontier for child in children_of(uri)]
-
-    def parents(self, uri):
-        return self._ctx.parents_of(uri)
-
-
 class ExpandOperator(Operator):
     """Path-step navigation re-seated on the batch protocol.
 
@@ -685,9 +621,11 @@ class ExpandOperator(Operator):
     expanded twice). Backward and bidirectional strategies need both
     frontiers materialized and emit their result sorted.
 
-    The walk runs in catalog-id space when the group replica is kept
-    (:class:`_IdSpace`) and in URI space otherwise (:class:`_UriSpace`)
-    — one loop, two node representations.
+    The walk's nodes are catalog ids: sort keys convert once at the
+    input edge (``view.id_for_key``) and each emitted set binds back
+    once (``view.keys_for_ids``). Where the edges come from — the group
+    replica, or live views when it is not kept — is the execution
+    context's business (``children_ids_of_many`` / ``parent_ids_of``).
     """
 
     def __init__(self, input_op: Operator, candidates_op: Operator | None,
@@ -712,15 +650,14 @@ class ExpandOperator(Operator):
         if self._batches is None:
             ctx = self._ctx
             view = ctx.dict_view
-            if view is not None and getattr(ctx, "supports_id_expansion",
-                                            False):
-                space = _IdSpace(ctx)
+            size = ctx.engine.batch_size
+            if self.ordered:
+                self._batches = chunked(
+                    view.keys_for_ids(self._materialized()), size,
+                    ordered=True, view=view)
             else:
-                space = _UriSpace(ctx)
-            keys = (space.keys(self._materialized(space)) if self.ordered
-                    else self._forward_stream(space))
-            self._batches = chunked(keys, ctx.engine.batch_size,
-                                    ordered=self.ordered, view=view)
+                self._batches = chunked_stream(self._forward_stream(), size,
+                                               view=view)
         return next(self._batches, None)
 
     def close(self) -> None:
@@ -728,9 +665,13 @@ class ExpandOperator(Operator):
         if self.candidates_op is not None:
             self.candidates_op.close()
 
+    def _nodes(self, keys) -> list[int]:
+        """Sort keys to catalog ids (the walk's input edge)."""
+        return list(map(self._ctx.dict_view.id_for_key, keys))
+
     # -- the forward walk --------------------------------------------------
 
-    def _walk(self, space, frontiers) -> Iterator[set]:
+    def _walk(self, frontiers) -> Iterator[set]:
         """The one forward BFS: for each frontier that ``frontiers``
         yields (pulled lazily — one per input batch), expand level by
         level and yield each level's *newly* discovered node set.
@@ -741,6 +682,7 @@ class ExpandOperator(Operator):
         keeps a view — source or discovery — from being expanded
         twice."""
         ctx = self._ctx
+        children_of_many = ctx.children_ids_of_many
         descend = self.axis is not Axis.CHILD
         reached: set = set()
         processed: set = set()
@@ -752,7 +694,7 @@ class ExpandOperator(Operator):
                     processed |= frontier
                 if not frontier:
                     break
-                new = set(space.children(frontier))
+                new = set(children_of_many(frontier))
                 new -= reached
                 if not new:
                     break
@@ -763,32 +705,33 @@ class ExpandOperator(Operator):
                     break
                 frontier = new
 
-    def _forward_stream(self, space) -> Iterator:
+    def _forward_stream(self) -> Iterator[int]:
         """Yield the *keys* of discovered views, a level at a time."""
-        candidates = (set(space.nodes(drain(self.candidates_op)))
+        candidates = (set(self._nodes(drain(self.candidates_op)))
                       if self.candidates_op is not None else None)
-        frontiers = (space.nodes(batch.keys)
+        keys_for_ids = self._ctx.dict_view.keys_for_ids
+        frontiers = (self._nodes(batch.keys)
                      for batch in iter(self.input_op.next_batch, None))
-        for new in self._walk(space, frontiers):
+        for new in self._walk(frontiers):
             hits = new if candidates is None else new & candidates
             if hits:
-                yield from space.keys(hits)
+                yield from keys_for_ids(hits)
 
     # -- materialized strategies (backward / bidirectional) ----------------
 
-    def _materialized(self, space) -> set:
+    def _materialized(self) -> set:
         """Both frontiers materialized as node sets; the caller binds
         the answer back to sorted keys."""
-        sources = set(space.nodes(drain(self.input_op)))
-        candidates = set(space.nodes(drain(self.candidates_op)))
+        sources = set(self._nodes(drain(self.input_op)))
+        candidates = set(self._nodes(drain(self.candidates_op)))
         if self.strategy == "backward" or len(candidates) < len(sources):
-            return self._backward(space, sources, candidates)
-        reached = set().union(*self._walk(space, [sources]))
+            return self._backward(sources, candidates)
+        reached = set().union(*self._walk([sources]))
         return reached & candidates
 
-    def _backward(self, space, sources: set, candidates: set) -> set:
+    def _backward(self, sources: set, candidates: set) -> set:
         ctx = self._ctx
-        parents_of = space.parents
+        parents_of = ctx.parent_ids_of
         out: set = set()
         if self.axis is Axis.CHILD:
             for node in candidates:

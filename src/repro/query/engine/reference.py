@@ -6,11 +6,18 @@ node recursively materializes a complete ``set[str]``. It stays here —
 deliberately independent of the operator implementations — so the
 property harness can assert, for hundreds of generated queries, that
 the streaming engine and the old semantics agree exactly.
+
+It is the one place URI strings are the working representation: leaf
+answers arrive from the execution context as catalog ids and are
+turned into strings right here (:func:`_uris`), the universe is read
+off the catalog, and navigation uses the context's two URI-typed
+primitives, ``children_of`` / ``parents_of``.
 """
 
 from __future__ import annotations
 
 from ...core.errors import QueryExecutionError
+from ...rvm.uridict import global_uri_dictionary
 from ..ast import Axis
 from ..plan import (
     AllViews,
@@ -29,23 +36,30 @@ from ..plan import (
 )
 
 
+def _uris(ids) -> set[str]:
+    """A substrate answer (catalog ids) as the oracle's URI set."""
+    uri_of = global_uri_dictionary().uri_of
+    return {uri_of(i) for i in ids}
+
+
 def reference_execute(node: PlanNode, ctx) -> set[str]:
     """Evaluate ``node`` with the original set-at-a-time semantics."""
     if isinstance(node, AllViews):
-        return set(ctx.all_uris())
+        return set(ctx.rvm.catalog.all_uris())
     if isinstance(node, RootViews):
-        return ctx.root_uris()
+        return _uris(ctx.root_ids())
     if isinstance(node, ContentSearch):
-        return ctx.content_search(node.text, is_phrase=node.is_phrase,
-                                  wildcard=node.wildcard)
+        return _uris(ctx.content_search_ids(
+            node.text, is_phrase=node.is_phrase, wildcard=node.wildcard))
     if isinstance(node, NameEquals):
-        return ctx.name_equals(node.name)
+        return _uris(ctx.name_equals_ids(node.name))
     if isinstance(node, NamePattern):
-        return ctx.name_pattern(node.pattern)
+        return _uris(ctx.name_pattern_ids(node.pattern))
     if isinstance(node, ClassLookup):
-        return ctx.class_lookup(node.class_name)
+        return _uris(ctx.class_lookup_ids(node.class_name))
     if isinstance(node, TupleCompare):
-        return ctx.tuple_compare(node.attribute, node.op, node.value)
+        return _uris(ctx.tuple_compare_ids(node.attribute, node.op,
+                                           node.value))
     if isinstance(node, Intersect):
         result: set[str] | None = None
         for part in node.parts:
@@ -60,7 +74,8 @@ def reference_execute(node: PlanNode, ctx) -> set[str]:
             out |= reference_execute(part, ctx)
         return out
     if isinstance(node, Complement):
-        return set(ctx.all_uris()) - reference_execute(node.part, ctx)
+        return (set(ctx.rvm.catalog.all_uris())
+                - reference_execute(node.part, ctx))
     if isinstance(node, ExpandStep):
         return _reference_expand(node, ctx)
     if isinstance(node, Limit):

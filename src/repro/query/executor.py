@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 import time
 from contextlib import nullcontext
+from itertools import chain
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -151,7 +152,6 @@ class ExecutionContext:
         #: what this execution had to do without: every survived source
         #: failure lands here, and the result carries it to the caller
         self.degradation = DegradationReport()
-        self._all_uris: set[str] | None = None
         self._all_ids: KeySet | None = None
         self._dict_view = None
 
@@ -168,32 +168,6 @@ class ExecutionContext:
         if view is None:
             view = self._dict_view = global_uri_dictionary().view()
         return view
-
-    def keys_for_set(self, uris) -> "object":
-        """Sorted key column for a scan leaf's result.
-
-        A :class:`~repro.rvm.keyset.KeySet` of catalog ids (what the
-        id-keyed indexes return) is handed off by integer array
-        indexing — no per-URI string hashing; a ``set[str]`` (fallback
-        scans, external callers) takes the string path.
-        """
-        if isinstance(uris, KeySet):
-            return self.dict_view.keys_for_ids(uris)
-        return self.dict_view.keys_for_set(uris)
-
-    def keys_in_order(self, uris) -> "object":
-        """Key column for an already-ordered URI sequence."""
-        return self.dict_view.keys_in_order(uris)
-
-    def keys_in_order_ids(self, ids) -> "object":
-        """Key column for an already-ordered catalog-id sequence."""
-        return self.dict_view.keys_in_order_ids(ids)
-
-    def key_for_uri(self, uri: str) -> int:
-        return self.dict_view.key_for(uri)
-
-    def uri_of_key(self, key: int) -> str:
-        return self.dict_view.uri_for(key)
 
     def count(self, name: str, amount: int = 1) -> None:
         """Record one substrate call into the trace, if tracing."""
@@ -213,67 +187,46 @@ class ExecutionContext:
         if self.cancel_token is not None:
             self.cancel_token.check()
 
-    def all_uris(self) -> set[str]:
-        if self._all_uris is None:
-            self.count("ctx.all_uris_materialized")
-            self._all_uris = set(self.rvm.catalog.all_uris())
-        return self._all_uris
-
     def all_ids(self) -> KeySet:
-        """The registered universe as a catalog-id keyset (the engine's
-        form of :meth:`all_uris` — no strings touched)."""
+        """The registered universe as a catalog-id keyset."""
         if self._all_ids is None:
             self.count("ctx.all_uris_materialized")
             self._all_ids = self.rvm.catalog.all_ids()
         return self._all_ids
 
-    def _materialize(self, ids) -> set[str]:
-        """Ids back to URIs for the string-facing wrappers (uncounted:
-        the ``ctx.*`` counter already fired in the ``*_ids`` method,
-        and these conversions are not engine-path dictionary work)."""
-        if isinstance(ids, set):
-            return ids  # a fallback scan already returned strings
-        uri_of = global_uri_dictionary().uri_of
-        return {uri_of(i) for i in ids}
-
-    def root_uris(self) -> set[str]:
+    def root_ids(self) -> set[int]:
+        """The data sources' root views, interned here: a plugin root
+        need not be in the catalog, so this is where it gets its id."""
         self.count("ctx.root_uris")
-        roots = set()
+        intern = global_uri_dictionary().intern
+        roots: set[int] = set()
         for plugin in self.rvm.proxy.plugins():
             try:
                 views = plugin.root_views()
             except DataSourceError as error:
                 self.degrade(plugin.authority, "root_views", error)
                 continue
-            for view in views:
-                roots.add(view.view_id.uri)
+            roots.update(intern(view.view_id.uri) for view in views)
         return roots
 
-    def content_search(self, text: str, *, is_phrase: bool,
-                       wildcard: bool) -> set[str]:
-        return self._materialize(self.content_search_ids(
-            text, is_phrase=is_phrase, wildcard=wildcard
-        ))
-
     def content_search_ids(self, text: str, *, is_phrase: bool,
-                           wildcard: bool):
-        """Content match as a catalog-id :class:`KeySet` (a ``set[str]``
-        when query shipping scans live views instead)."""
+                           wildcard: bool) -> KeySet:
+        """Content match as a catalog-id :class:`KeySet`."""
         self.checkpoint()
         self.count("ctx.content_search")
-        if not self.rvm.indexes.policy.index_content:
-            return self._content_scan(text, is_phrase=is_phrase,
-                                      wildcard=wildcard)
-        index = self.rvm.indexes.content_index
+        index = (self.rvm.indexes.content_index
+                 if self.rvm.indexes.policy.index_content
+                 else self._content_scan())
         if wildcard:
             return Wildcard(text).ids(index)
         if is_phrase:
             return Phrase.of(text, index).ids(index)
         return Term(text).ids(index)
 
-    def _content_scan(self, text: str, *, is_phrase: bool,
-                      wildcard: bool) -> set[str]:
-        """Query shipping: no content index, scan live views instead."""
+    def _content_scan(self):
+        """Query shipping: no content index, so index the live views'
+        content into a throwaway probe (which interns every URI it is
+        handed — its doc ids are catalog ids, like the real index's)."""
         from ..fulltext import InvertedIndex
         self.count("ctx.content_scan")
         probe = InvertedIndex()
@@ -289,11 +242,7 @@ class ExecutionContext:
                 continue
             if body:
                 probe.add(uri, body)
-        if wildcard:
-            return Wildcard(text).keys(probe)
-        if is_phrase:
-            return Phrase.of(text, probe).keys(probe)
-        return Term(text).keys(probe)
+        return probe
 
     def content_estimate(self, text: str, *, is_phrase: bool,
                          wildcard: bool) -> int:
@@ -313,19 +262,24 @@ class ExecutionContext:
             frequencies.append(postings.document_frequency)
         return min(frequencies)
 
-    def class_estimate(self, class_name: str) -> int:
+    @staticmethod
+    def _class_names(class_name: str) -> list[str]:
+        """``class_name`` and, for a built-in class, its specializations."""
         from ..core.classes import BUILTIN_REGISTRY
-        names = [class_name]
-        if class_name in BUILTIN_REGISTRY:
-            names = [cls.name for cls in BUILTIN_REGISTRY
-                     if BUILTIN_REGISTRY.is_subclass(cls.name, class_name)]
-        return sum(len(self.rvm.catalog.by_class(name)) for name in names)
+        if class_name not in BUILTIN_REGISTRY:
+            return [class_name]
+        return [cls.name for cls in BUILTIN_REGISTRY
+                if BUILTIN_REGISTRY.is_subclass(cls.name, class_name)]
+
+    def class_estimate(self, class_name: str) -> int:
+        return sum(len(self.rvm.catalog.ids_by_class(name))
+                   for name in self._class_names(class_name))
 
     def tuple_estimate(self, attribute: str, op: CompareOp) -> int:
         """Upper bound: views carrying the attribute at all (halved for
         range predicates, the textbook default selectivity)."""
         attribute = canonical_attribute(attribute)
-        carriers = len(self.rvm.indexes.tuple_index.keys_with_attribute(
+        carriers = len(self.rvm.indexes.tuple_index.ids_with_attribute(
             attribute
         ))
         if op in (CompareOp.EQ, CompareOp.NE):
@@ -337,21 +291,16 @@ class ExecutionContext:
         pattern is literal, otherwise the count of names carrying the
         pattern's literal prefix (every match must share it)."""
         if "*" not in pattern and "?" not in pattern:
-            return len(self.name_equals(pattern))
+            return len(self.rvm.catalog.ids_by_name(pattern))
         prefix = re.split(r"[*?]", pattern, maxsplit=1)[0]
-        if self.rvm.indexes.policy.index_names:
-            names = (name for _, name
-                     in self.rvm.indexes.name_index.stored_items())
-        else:
-            names = (record.name for record in self.rvm.catalog.all_records()
-                     if record.name)
-        return sum(1 for name in names if name.startswith(prefix))
+        return sum(1 for _, name in self.name_rows()
+                   if name.startswith(prefix))
 
     def expand_estimate(self, input_estimate: int, axis: Axis) -> int:
         """Bound on the views reached by one expansion: the input times
         the replica's average fan-out over one hop, or the universe for
         the transitive descendant closure."""
-        total = len(self.all_uris())
+        total = len(self.rvm.catalog)
         if axis is not Axis.CHILD:
             return total
         if not self.rvm.indexes.policy.replicate_groups:
@@ -360,56 +309,45 @@ class ExecutionContext:
         fanout = self.group_replica.edge_count() / nodes
         return min(total, int(input_estimate * fanout) + 1)
 
-    def name_equals(self, name: str) -> set[str]:
-        return self._materialize(self.name_equals_ids(name))
-
     def name_equals_ids(self, name: str) -> KeySet:
         self.count("ctx.name_equals")
         return self.rvm.catalog.ids_by_name(name)
 
-    def name_pattern(self, pattern: str) -> set[str]:
-        return self._materialize(self.name_pattern_ids(pattern))
+    def name_rows(self):
+        """``(catalog id, name)`` of every named view: off the name
+        replica when it is kept, else off the catalog's metadata (every
+        registered URI is interned, so ``id_of`` never misses)."""
+        if self.rvm.indexes.policy.index_names:
+            return self.rvm.indexes.name_index.stored_id_items()
+        id_of = global_uri_dictionary().id_of
+        return ((id_of(record.uri), record.name)
+                for record in self.rvm.catalog.all_records() if record.name)
 
     def name_pattern_ids(self, pattern: str) -> KeySet:
         self.checkpoint()
         self.count("ctx.name_pattern")
         regex = wildcard_regex(pattern)
-        matched = KeySet()
-        if self.rvm.indexes.policy.index_names:
-            items = self.rvm.indexes.name_index.stored_id_items()
-            for doc, name in items:
-                if regex.match(name):
-                    matched.add(doc)
-            return matched
-        # no name replica: fall back to the catalog's metadata (every
-        # registered URI is interned, so id_of never misses here)
-        id_of = global_uri_dictionary().id_of
-        for record in self.rvm.catalog.all_records():
-            if record.name and regex.match(record.name):
-                matched.add(id_of(record.uri))
-        return matched
+        return KeySet.from_iterable(doc for doc, name in self.name_rows()
+                                    if regex.match(name))
 
     # -- group navigation (replica or live fallback) -------------------------
 
-    @property
-    def supports_id_expansion(self) -> bool:
-        """True when expansion can walk the replica in id space (the
-        engine's fast path); without the replica the walk must go
-        through live views, which speak URIs."""
-        return self.rvm.indexes.policy.replicate_groups
-
     def children_ids_of(self, view_id: int) -> tuple[int, ...]:
-        """Directly related catalog ids off the group replica (only
-        valid when :attr:`supports_id_expansion`)."""
-        self.checkpoint()
-        self.count("ctx.children_of")
-        return self.group_replica.children_ids(view_id)
+        """Directly related catalog ids of one view."""
+        return tuple(self.children_ids_of_many((view_id,)))
 
     def children_ids_of_many(self, frontier) -> list[int]:
         """The child ids of a whole frontier in one list (duplicates
-        kept) — :meth:`children_ids_of` for every node at once: counted
-        per node, checkpointed once per ``engine.batch_size`` nodes so
-        a huge frontier still observes cancellation promptly."""
+        kept): counted per node, checkpointed once per
+        ``engine.batch_size`` nodes so a huge frontier still observes
+        cancellation promptly."""
+        if not self.rvm.indexes.policy.replicate_groups:
+            # no replica: one live-view read per view (its own count,
+            # checkpoint and possible degrade), interned at this edge
+            dictionary = global_uri_dictionary()
+            uri_of, children_of = dictionary.uri_of, self.children_of
+            return [*map(dictionary.intern, chain.from_iterable(
+                children_of(uri_of(node)) for node in frontier))]
         self.count("ctx.children_of", len(frontier))
         gather = self.group_replica.children_ids_of_many
         size = self.engine.batch_size
@@ -423,11 +361,20 @@ class ExecutionContext:
             found += gather(nodes[start:start + size])
         return found
 
-    def parent_ids_of(self, view_id: int):
-        """Reverse-edge catalog ids off the group replica, read-only
-        (only valid when :attr:`supports_id_expansion`)."""
+    def _reverse_edges(self):
+        """The group replica, for a backward step — only it keeps the
+        reverse edges."""
         self.count("ctx.parents_of")
-        return self.group_replica.parent_ids_view(view_id)
+        if not self.rvm.indexes.policy.replicate_groups:
+            raise QueryExecutionError(
+                "backward expansion needs the group replica's reverse "
+                "edges; enable replicate_groups or use forward expansion"
+            )
+        return self.group_replica
+
+    def parent_ids_of(self, view_id: int):
+        """Reverse-edge catalog ids, read-only."""
+        return self._reverse_edges().parent_ids_view(view_id)
 
     def children_of(self, uri: str) -> tuple[str, ...]:
         self.checkpoint()
@@ -448,41 +395,19 @@ class ExecutionContext:
         return tuple(v.view_id.uri for v in members)
 
     def parents_of(self, uri: str) -> set[str]:
-        self.count("ctx.parents_of")
-        if not self.rvm.indexes.policy.replicate_groups:
-            raise QueryExecutionError(
-                "backward expansion needs the group replica's reverse "
-                "edges; enable replicate_groups or use forward expansion"
-            )
-        return self.group_replica.parents(uri)
-
-    def class_lookup(self, class_name: str) -> set[str]:
-        return self._materialize(self.class_lookup_ids(class_name))
+        return self._reverse_edges().parents(uri)
 
     def class_lookup_ids(self, class_name: str) -> KeySet:
         self.checkpoint()
         self.count("ctx.class_lookup")
-        from ..core.classes import BUILTIN_REGISTRY
-        names = [class_name]
-        if class_name in BUILTIN_REGISTRY:
-            names = [
-                cls.name for cls in BUILTIN_REGISTRY
-                if BUILTIN_REGISTRY.is_subclass(cls.name, class_name)
-            ]
         matched = KeySet()
-        for name in names:
+        for name in self._class_names(class_name):
             matched = matched.or_(self.rvm.catalog.ids_by_class(name))
         return matched
 
-    def tuple_compare(self, attribute: str, op: CompareOp,
-                      value: object) -> set[str]:
-        return self._materialize(self.tuple_compare_ids(attribute, op,
-                                                        value))
-
     def tuple_compare_ids(self, attribute: str, op: CompareOp,
-                          value: object):
-        """Tuple predicate as a catalog-id :class:`KeySet` (a
-        ``set[str]`` when query shipping scans live views instead)."""
+                          value: object) -> KeySet:
+        """Tuple predicate as a catalog-id :class:`KeySet`."""
         self.checkpoint()
         self.count("ctx.tuple_compare")
         attribute = canonical_attribute(attribute)
@@ -506,11 +431,11 @@ class ExecutionContext:
         raise QueryExecutionError(f"unsupported operator {op}")
 
     def _tuple_scan(self, attribute: str, op: CompareOp,
-                    value: object) -> set[str]:
+                    value: object) -> KeySet:
         """Query shipping: evaluate the predicate over live views."""
-        from ..query.plan import compare_values
         self.count("ctx.tuple_scan")
-        matched: set[str] = set()
+        intern = global_uri_dictionary().intern
+        matched: list[int] = []
         for uri, view in self.rvm.sync.live_views.items():
             try:
                 candidate = view.tuple_component.get(attribute)
@@ -522,10 +447,10 @@ class ExecutionContext:
                 continue
             try:
                 if compare_values(op, candidate, value):
-                    matched.add(uri)
+                    matched.append(intern(uri))
             except QueryExecutionError:
                 continue  # incomparable types never match
-        return matched
+        return KeySet.from_iterable(matched)
 
     def component_value(self, uri: str, ref: QualifiedRef) -> object:
         """Resolve ``A.name`` / ``A.tuple.attr`` / ``A.class`` /

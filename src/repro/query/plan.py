@@ -8,9 +8,9 @@ replica (:class:`ExpandStep` — the prototype's *forward expansion*), or
 truncate (:class:`Limit`).
 
 Execution lives in :mod:`repro.query.engine`: the compiler lowers this
-node tree to batched pull-based operators. :meth:`PlanNode.execute`
-remains as the materializing compatibility shim — it runs the engine to
-completion and returns the old ``set[str]``.
+node tree to batched pull-based operators
+(:func:`~repro.query.engine.iter_batches`, or
+:func:`~repro.query.engine.materialize_set` for the whole answer).
 
 Cost estimates are deliberately coarse (rule-based optimization, like
 the 2006 prototype — "cost based optimization will be explored as
@@ -48,29 +48,22 @@ def wildcard_regex(pattern: str) -> re.Pattern[str]:
 class PlanNode:
     """Base class: a logical description the engine compiles and runs.
 
-    :meth:`execute` is the compatibility shim kept at the root of the
-    old contract: it drives the batched engine
-    (:func:`repro.query.engine.materialize_set`) to completion and
-    returns the full URI set. Tracing, cancellation and degradation all
-    live at the engine's iterator boundary now — when the execution
-    context carries a :class:`~repro.trace.TraceCollector`, the
-    compiler wraps every operator in a span; without one, execution has
-    no tracing overhead at all.
+    Tracing, cancellation and degradation all live at the engine's
+    iterator boundary — when the execution context carries a
+    :class:`~repro.trace.TraceCollector`, the compiler wraps every
+    operator in a span; without one, execution has no tracing overhead
+    at all.
     """
 
     #: ordinal cost class; lower executes earlier inside intersections
     COST = 5
-
-    def execute(self, ctx: "ExecutionContext") -> set[str]:
-        from .engine import materialize_set
-        return materialize_set(self, ctx)
 
     def estimate(self, ctx: "ExecutionContext") -> int:
         """Estimated result cardinality (for cost-based ordering and
         the analyze output's estimate-vs-actual column). Every concrete
         node overrides this with its honest best guess; the base default
         is the whole dataspace."""
-        return len(ctx.all_uris())
+        return len(ctx.rvm.catalog)
 
     def explain(self, indent: int = 0) -> str:
         return "  " * indent + self.describe()
@@ -86,7 +79,7 @@ class AllViews(PlanNode):
     COST = 6
 
     def estimate(self, ctx: "ExecutionContext") -> int:
-        return len(ctx.all_uris())  # exact: the universe itself
+        return len(ctx.rvm.catalog)  # exact: the universe itself
 
     def describe(self) -> str:
         return "AllViews"
@@ -99,7 +92,7 @@ class RootViews(PlanNode):
     COST = 1
 
     def estimate(self, ctx: "ExecutionContext") -> int:
-        return len(ctx.root_uris())  # exact: one view per data source
+        return len(ctx.root_ids())  # exact: one view per data source
 
     def describe(self) -> str:
         return "RootViews"
@@ -132,7 +125,7 @@ class NameEquals(PlanNode):
     name: str = ""
 
     def estimate(self, ctx: "ExecutionContext") -> int:
-        return len(ctx.name_equals(self.name))
+        return len(ctx.name_equals_ids(self.name))
 
     def describe(self) -> str:
         return f"NameEquals({self.name!r})"
@@ -193,7 +186,7 @@ class Intersect(PlanNode):
 
     def estimate(self, ctx: "ExecutionContext") -> int:
         return min((p.estimate(ctx) for p in self.parts),
-                   default=len(ctx.all_uris()))
+                   default=len(ctx.rvm.catalog))
 
     def explain(self, indent: int = 0) -> str:
         lines = ["  " * indent + "Intersect"]
@@ -210,7 +203,7 @@ class Union(PlanNode):
         return max((p.COST for p in self.parts), default=5)
 
     def estimate(self, ctx: "ExecutionContext") -> int:
-        return min(len(ctx.all_uris()),
+        return min(len(ctx.rvm.catalog),
                    sum(p.estimate(ctx) for p in self.parts))
 
     def explain(self, indent: int = 0) -> str:
@@ -227,7 +220,7 @@ class Complement(PlanNode):
     COST = 6
 
     def estimate(self, ctx: "ExecutionContext") -> int:
-        return max(0, len(ctx.all_uris()) - self.part.estimate(ctx))
+        return max(0, len(ctx.rvm.catalog) - self.part.estimate(ctx))
 
     def explain(self, indent: int = 0) -> str:
         return "  " * indent + "Complement\n" + self.part.explain(indent + 1)
@@ -358,9 +351,10 @@ class JoinPlan:
 
     def _run_pairs(self, ctx: "ExecutionContext") -> list[tuple[str, str]]:
         from .ast import QualifiedRef
+        from .engine import materialize_set
 
-        left_uris = sorted(self.left.execute(ctx))
-        right_uris = sorted(self.right.execute(ctx))
+        left_uris = sorted(materialize_set(self.left, ctx))
+        right_uris = sorted(materialize_set(self.right, ctx))
 
         def key_of(uri: str, ref: object) -> object:
             if isinstance(ref, QualifiedRef):

@@ -2,10 +2,12 @@
 
 "All resource views managed are registered in that catalog." iMeMex
 implements it on Apache Derby; we implement it on the embedded
-relational store (:mod:`repro.store`), with secondary indexes on name,
-class and authority. The catalog stores *metadata only* — components
-live in their replicas/indexes — and its size contributes the
-"RV Catalog" column of Table 3.
+relational store (:mod:`repro.store`): one table keyed by URI. Name,
+class and authority are each indexed once, as buckets of catalog-id
+:class:`~repro.rvm.keyset.KeySet` s — the form the query engine
+consumes. The catalog stores *metadata only* — components live in their
+replicas/indexes — and its size contributes the "RV Catalog" column of
+Table 3.
 """
 
 from __future__ import annotations
@@ -55,11 +57,8 @@ class ResourceViewCatalog:
             ],
             primary_key="uri",
         )
-        self._table.create_index("by_name", "name", kind="hash")
-        self._table.create_index("by_class", "class_name", kind="hash")
-        self._table.create_index("by_authority", "authority", kind="hash")
-        # compressed id sets mirroring the hash indexes: the query engine
-        # consumes these directly (catalog scans, class/authority lookups)
+        # the secondary indexes: compressed id sets the query engine
+        # consumes directly (catalog scans, name/class/authority lookups)
         # with no per-URI string work. Ids are derived state — rebuilt on
         # recovery by re-registering, never persisted.
         self._ids = KeySet()
@@ -151,17 +150,6 @@ class ResourceViewCatalog:
         row = self._table.get(uri)
         return self._record(row) if row is not None else None
 
-    def by_name(self, name: str) -> list[CatalogRecord]:
-        return [self._record(r) for r in self._table.lookup("by_name", name)]
-
-    def by_class(self, class_name: str) -> list[CatalogRecord]:
-        return [self._record(r)
-                for r in self._table.lookup("by_class", class_name)]
-
-    def by_authority(self, authority: str) -> list[CatalogRecord]:
-        return [self._record(r)
-                for r in self._table.lookup("by_authority", authority)]
-
     def all_records(self) -> Iterator[CatalogRecord]:
         return (self._record(row) for row in self._table.scan())
 
@@ -212,10 +200,8 @@ class ResourceViewCatalog:
         return self._db.size_bytes() + keysets
 
     def counts_by_authority(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for record in self.all_records():
-            counts[record.authority] = counts.get(record.authority, 0) + 1
-        return counts
+        return {authority: len(keyset)
+                for authority, keyset in self._ids_by_authority.items()}
 
     def counts_by_kind(self) -> dict[str, int]:
         counts: dict[str, int] = {}

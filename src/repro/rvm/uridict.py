@@ -77,17 +77,17 @@ class DictionaryView:
     cache replays them — keep materializing the right URIs.
     """
 
-    __slots__ = ("_dictionary", "version", "_sorted_uris", "_key_of",
+    __slots__ = ("_dictionary", "version", "_sorted_uris",
                  "_key_of_id", "_id_at_rank",
                  "_overlay", "_overlay_rev", "_overlay_sorted", "_lock")
 
     def __init__(self, dictionary: "UriDictionary", version: int,
-                 sorted_uris: list[str], key_of: dict[str, int],
-                 key_of_id: array, id_at_rank: array):
+                 sorted_uris: list[str], key_of_id: array,
+                 id_at_rank: array):
         self._dictionary = dictionary
         self.version = version
+        #: rank -> uri; a URI's base key is its rank here times KEY_GAP
         self._sorted_uris = sorted_uris
-        self._key_of = key_of
         #: dense id -> sort key (every id < len is covered: ids and the
         #: sorted URI list are two orderings of the same interned set)
         self._key_of_id = key_of_id
@@ -117,33 +117,14 @@ class DictionaryView:
         order). Unknown URIs get an overlay key between their
         neighbours; an exhausted gap raises
         :class:`~repro.core.errors.StaleDictionaryError`."""
-        key = self._key_of.get(uri)
-        if key is not None:
-            return key
+        sorted_uris = self._sorted_uris
+        rank = bisect_left(sorted_uris, uri)
+        if rank < len(sorted_uris) and sorted_uris[rank] == uri:
+            return rank * KEY_GAP
         key = self._overlay.get(uri)
         if key is not None:
             return key
         return self._assign_overlay_key(uri)
-
-    def keys_for_set(self, uris: Iterable[str]) -> array:
-        """Sorted ``array('q')`` of keys for a URI set (a scan's
-        sorted-batch source)."""
-        key_of = self._key_of
-        out = array("q", sorted(
-            key_of[u] if u in key_of else self.key_for(u) for u in uris
-        ))
-        self._dictionary.count_lookups(len(out))
-        return out
-
-    def keys_in_order(self, uris: Sequence[str]) -> array:
-        """Keys for an already-ordered URI sequence (unordered scans:
-        pipeline order preserved, no sort)."""
-        key_of = self._key_of
-        out = array("q", (
-            key_of[u] if u in key_of else self.key_for(u) for u in uris
-        ))
-        self._dictionary.count_lookups(len(out))
-        return out
 
     # -- id <-> key (the zero-copy keyset handoff, DESIGN.md §4j) -----------
 
@@ -332,8 +313,6 @@ class UriDictionary:
 
     def _remap_locked(self) -> None:
         sorted_uris = sorted(self._uri_of)
-        key_of = {uri: rank * KEY_GAP
-                  for rank, uri in enumerate(sorted_uris)}
         # the id bridge: ids are first-seen order, ranks are sorted
         # order — two permutations of the same set, so both arrays are
         # dense and total (no sentinel slots)
@@ -344,7 +323,7 @@ class UriDictionary:
             key_of_id[view_id] = rank * KEY_GAP
         self.version += 1
         self.remaps += 1
-        self._view = DictionaryView(self, self.version, sorted_uris, key_of,
+        self._view = DictionaryView(self, self.version, sorted_uris,
                                     key_of_id, id_at_rank)
         self._dirty = False
         from .. import obs

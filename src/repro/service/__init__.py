@@ -16,9 +16,14 @@ from ..core.errors import (
     ServiceClosed,
     ServiceError,
 )
+from ..obs.metrics import (
+    Counter,
+    Histogram,
+    HistogramSnapshot,
+    MetricsRegistry,
+)
 from .admission import AdmissionController, CancellationToken
 from .cache import LRUCache, PlanCache, QueryKey, ResultCache
-from .metrics import Counter, Histogram, HistogramSnapshot, MetricsRegistry
 from .server import DataspaceService, QueryTicket, Session
 from .workload import WorkloadReport, run_closed_loop
 

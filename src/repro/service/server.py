@@ -39,7 +39,7 @@ from ..core.errors import (
 from ..query import QueryResult
 from .admission import AdmissionController, CancellationToken
 from .cache import PlanCache, QueryKey, ResultCache
-from .metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 
 
 class QueryTicket:

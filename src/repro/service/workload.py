@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..core.errors import Overloaded, ServiceError
-from .metrics import HistogramSnapshot, _percentile
+from ..obs.metrics import HistogramSnapshot, _percentile
 
 
 @dataclass

@@ -204,12 +204,3 @@ class TestDisabled:
         obs.configure(enabled=True)
         assert obs.global_metrics().snapshot()["off.box"] == 5
         del box
-
-
-class TestCompatibilityShim:
-    def test_service_metrics_imports_from_obs(self):
-        from repro.obs import metrics as obs_metrics
-        from repro.service import metrics as service_metrics
-        assert service_metrics.MetricsRegistry is obs_metrics.MetricsRegistry
-        assert service_metrics.Counter is obs_metrics.Counter
-        assert service_metrics.Histogram is obs_metrics.Histogram

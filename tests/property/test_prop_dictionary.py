@@ -39,7 +39,11 @@ from repro.durability.verify import verify_engine_matches_oracle
 from repro.facade import Dataspace
 from repro.imapsim.latency import no_latency
 from repro.query.ast import CompareOp, Comparison, Literal, PredicateExpr
-from repro.query.engine import iter_batches, reference_execute
+from repro.query.engine import (
+    iter_batches,
+    materialize_set,
+    reference_execute,
+)
 from repro.query.executor import ExecutionContext
 from repro.query.optimizer import optimize
 from repro.query.plan import Limit
@@ -60,7 +64,7 @@ class TestIntegerEngineDifferential:
     def test_integer_engine_matches_string_oracle(self, query, index):
         dataspace = space(index)
         plan = optimize(dataspace.processor._build(query))
-        assert plan.execute(_ctx(dataspace)) \
+        assert materialize_set(plan, _ctx(dataspace)) \
             == reference_execute(plan, _ctx(dataspace))
 
     @given(QUERIES, st.integers(0, len(SEEDS) - 1))
@@ -90,10 +94,9 @@ class TestIntegerEngineDifferential:
         rows, all drawn from the full result."""
         dataspace = space(index)
         raw = dataspace.processor._build(query)
-        full = optimize(raw).execute(_ctx(dataspace))
-        limited = optimize(Limit(part=raw, count=k)).execute(
-            _ctx(dataspace)
-        )
+        full = materialize_set(optimize(raw), _ctx(dataspace))
+        limited = materialize_set(optimize(Limit(part=raw, count=k)),
+                                  _ctx(dataspace))
         assert len(limited) == min(k, len(full))
         assert limited <= full
 
@@ -211,7 +214,7 @@ class TestMutationInterleaving:
         query = PredicateExpr(Comparison("name", CompareOp.EQ,
                                          Literal("late-keyset.txt")))
         plan = optimize(dataspace.processor._build(query))
-        engine = plan.execute(ctx)  # stale view: overlay path
+        engine = materialize_set(plan, ctx)  # stale view: overlay path
         assert engine == reference_execute(plan, _ctx(dataspace))
         assert engine == {late_uri}
 
@@ -252,6 +255,22 @@ class TestKeySetHandoff:
             assert dictionary.lookups == lookups, iql  # flat: stringless
         assert total_rows > 0
         assert dictionary.handoffs > handoffs_before
+
+    def test_rooted_path_is_stringless_on_the_second_execution(self):
+        """A ``/``-rooted path asks the plugins for their roots and
+        interns them at that edge. A root the catalog never saw may
+        bind late — through the overlay, one string lookup — the first
+        time; by the second execution it is a base key like any other
+        and the whole path drains without touching a string."""
+        dataspace = space(0)
+        dictionary = global_uri_dictionary()
+        for _ in dataspace.query_iter("/*/*").batches():
+            pass
+        dictionary.view()  # settle the remap a late root asked for
+        stream = dataspace.query_iter("/*/*")
+        lookups = dictionary.lookups
+        assert sum(len(batch) for batch in stream.batches()) > 0
+        assert dictionary.lookups == lookups
 
     def test_uris_property_is_the_only_string_boundary(self):
         """Touching ``.uris`` on a drained batch is what converts keys

@@ -7,9 +7,11 @@ and the operator must agree with the set-at-a-time oracle
 (:mod:`repro.query.engine.reference`) on three things: the answer,
 ``expanded_views`` (every discovered view counted once) and the
 ``ctx.children_of`` substrate counter (every expanded node counted
-once). The same graphs run through both node representations the one
-BFS loop serves: catalog ids over a real :class:`GroupReplica`, and URI
-strings over a plain ``children_of`` (the operator tests' string mode).
+once). The same graphs run under both replication policies — the walk
+is the same id-space loop either way; what changes is where the
+execution context reads the edges: a real :class:`GroupReplica`, or
+(``replicate_groups=False``) live views through ``ctx.children_of``,
+interned at that edge.
 """
 
 from __future__ import annotations
@@ -21,12 +23,10 @@ from repro.query.ast import Axis
 from repro.query.engine import EngineConfig
 from repro.query.engine.operators import ExpandOperator, drain
 from repro.query.engine.reference import _forward as reference_forward
-from repro.query.executor import ExecutionContext
-from repro.query.functions import FunctionTable
 from repro.query.plan import AllViews, ExpandStep
 from repro.trace import TraceCollector
 
-from ..query.test_engine import FakeCtx, StaticSource, replica_rvm
+from ..query.test_engine import StaticSource, _id_context, replica_rvm
 
 NODES = 14
 _EDGES = st.sets(st.tuples(st.integers(0, NODES - 1),
@@ -47,12 +47,12 @@ def _chunks(items: list, size: int) -> list[tuple]:
     return [tuple(items[i:i + size]) for i in range(0, len(items), size)]
 
 
-def _oracle(adjacency, sources, candidates, axis):
+def _oracle(adjacency, sources, candidates, axis, *, replicate):
     """(answer, expanded_views, children_of calls) of the reference
-    evaluator over the replica."""
+    evaluator under the given replication policy."""
     trace = TraceCollector()
-    ctx = ExecutionContext(replica_rvm("expandprop", adjacency),
-                           FunctionTable(), trace=trace)
+    ctx = _id_context(replica_rvm("expandprop", adjacency,
+                                  replicate=replicate), trace=trace)
     node = ExpandStep(input=AllViews(), axis=axis, strategy="forward",
                       candidates=None if candidates is None else AllViews())
     answer = reference_forward(
@@ -63,14 +63,27 @@ def _oracle(adjacency, sources, candidates, axis):
                                                           0)
 
 
-class _CountingCtx(FakeCtx):
-    """String mode, counting the per-view ``children_of`` calls."""
-
-    children_of_calls = 0
-
-    def children_of(self, uri: str):
-        self.children_of_calls += 1
-        return super().children_of(uri)
+def _check_walk(edges, sources, candidates, axis, batch_size, *, replicate):
+    adjacency = _adjacency(edges)
+    expected, expanded, calls = _oracle(adjacency, sources, candidates,
+                                        axis, replicate=replicate)
+    trace = TraceCollector()
+    ctx = _id_context(replica_rvm("expandprop", adjacency,
+                                  replicate=replicate), trace=trace,
+                      engine=EngineConfig(batch_size=batch_size))
+    expand = ExpandOperator(
+        StaticSource(*_chunks(sorted(_uri(n) for n in sources),
+                              batch_size)),
+        None if candidates is None else StaticSource(
+            *_chunks(sorted(_uri(n) for n in candidates), batch_size)),
+        axis, "forward",
+    )
+    expand.open(ctx)
+    got = list(drain(expand))
+    assert len(got) == len(set(got))  # a set, delivered in chunks
+    assert set(ctx.dict_view.uris_for(got)) == expected
+    assert ctx.expanded_views == expanded
+    assert trace.counters.get("ctx.children_of", 0) == calls
 
 
 class TestFrontierWalkMatchesOracle:
@@ -78,49 +91,14 @@ class TestFrontierWalkMatchesOracle:
            st.integers(1, 5))
     @settings(max_examples=150, deadline=None)
     def test_id_space(self, edges, sources, candidates, axis, batch_size):
-        adjacency = _adjacency(edges)
-        expected, expanded, calls = _oracle(adjacency, sources, candidates,
-                                            axis)
-        trace = TraceCollector()
-        ctx = ExecutionContext(replica_rvm("expandprop", adjacency),
-                               FunctionTable(), trace=trace,
-                               engine=EngineConfig(batch_size=batch_size))
-        view = ctx.dict_view
-        key = lambda n: view.key_for(_uri(n))  # noqa: E731
-        expand = ExpandOperator(
-            StaticSource(*_chunks([key(n) for n in sorted(sources)],
-                                  batch_size)),
-            None if candidates is None else StaticSource(
-                *_chunks(sorted(key(n) for n in candidates), batch_size)),
-            axis, "forward",
-        )
-        expand.open(ctx)
-        got = list(drain(expand))
-        assert len(got) == len(set(got))  # a set, delivered in chunks
-        assert {view.uri_for(k) for k in got} == expected
-        assert ctx.expanded_views == expanded
-        assert trace.counters.get("ctx.children_of", 0) == calls
+        _check_walk(edges, sources, candidates, axis, batch_size,
+                    replicate=True)
 
     @given(_EDGES, _NODE_SETS, st.none() | _NODE_SETS, _AXES,
            st.integers(1, 5))
     @settings(max_examples=150, deadline=None)
-    def test_uri_space(self, edges, sources, candidates, axis, batch_size):
-        adjacency = _adjacency(edges)
-        expected, expanded, calls = _oracle(adjacency, sources, candidates,
-                                            axis)
-        ctx = _CountingCtx(batch_size, {
-            _uri(n): [_uri(m) for m in members]
-            for n, members in adjacency.items()})
-        expand = ExpandOperator(
-            StaticSource(*_chunks(sorted(_uri(n) for n in sources),
-                                  batch_size)),
-            None if candidates is None else StaticSource(
-                *_chunks(sorted(_uri(n) for n in candidates), batch_size)),
-            axis, "forward",
-        )
-        expand.open(ctx)
-        got = list(drain(expand))
-        assert len(got) == len(set(got))
-        assert set(got) == expected
-        assert ctx.expanded_views == expanded
-        assert ctx.children_of_calls == calls
+    def test_policy_off(self, edges, sources, candidates, axis, batch_size):
+        """No group replica: the edges come from live views, one
+        ``ctx.children_of`` call per expanded view."""
+        _check_walk(edges, sources, candidates, axis, batch_size,
+                    replicate=False)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.query.engine import reference_execute
+from repro.query.engine import materialize_set, reference_execute
 from repro.query.executor import ExecutionContext
 from repro.query.optimizer import optimize, optimize_with_statistics
 from repro.query.plan import Limit
@@ -28,7 +28,7 @@ from .queries import QUERIES as _QUERIES, SEEDS as _SEEDS, space as _space
 
 def _uris(plan, dataspace):
     ctx = ExecutionContext(dataspace.rvm, dataspace.processor.functions)
-    return plan.execute(ctx)
+    return materialize_set(plan, ctx)
 
 
 class TestDifferentialEquivalence:
@@ -71,17 +71,29 @@ class TestEngineDifferential:
     must return exactly its URI set on every generated query (the
     acceptance bar: >= 200 queries, zero mismatches)."""
 
-    @given(_QUERIES, st.integers(0, len(_SEEDS) - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_batched_engine_matches_reference_evaluator(self, query, index):
-        dataspace = _space(index)
+    @staticmethod
+    def _check(dataspace, query):
         plan = optimize(dataspace.processor._build(query))
         engine_ctx = ExecutionContext(dataspace.rvm,
                                       dataspace.processor.functions)
         oracle_ctx = ExecutionContext(dataspace.rvm,
                                       dataspace.processor.functions)
-        assert plan.execute(engine_ctx) == reference_execute(plan,
-                                                             oracle_ctx)
+        assert materialize_set(plan, engine_ctx) \
+            == reference_execute(plan, oracle_ctx)
+
+    @given(_QUERIES, st.integers(0, len(_SEEDS) - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_batched_engine_matches_reference_evaluator(self, query, index):
+        self._check(_space(index), query)
+
+    @given(_QUERIES, st.integers(0, len(_SEEDS) - 1))
+    @settings(max_examples=25, deadline=None)  # ~1 s each: no indexes
+    def test_engine_matches_reference_without_indexes(self, query, index):
+        """The same corpus under ``IndexingPolicy.minimal()``: content
+        and tuple leaves scan live views, names come off the catalog,
+        expansion reads live groups — all of it interned at the
+        context's edge, so the engine still moves only ids."""
+        self._check(_space(index, minimal=True), query)
 
     @given(_QUERIES, st.integers(0, len(_SEEDS) - 1), st.integers(0, 40))
     @settings(max_examples=100, deadline=None)

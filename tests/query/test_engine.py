@@ -5,9 +5,17 @@ no compiler), pinning the protocol contracts end-to-end tests cannot
 see: laziness (who gets pulled when), early close propagation, ordered
 stream discipline across batch boundaries, and the engine-wide
 determinism rule (equal scores tie-break by URI ascending).
+
+The operators run here in the representation production runs: the
+fixtures name rows by URI for readability, but :class:`StaticSource`
+binds them to ``int64`` sort keys in ``array('q')`` columns through a
+real :class:`~repro.rvm.uridict.DictionaryView` (of a dictionary private
+to each :class:`FakeCtx`), and assertions decode through that view.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import pytest
 
@@ -34,54 +42,71 @@ from repro.query.engine.operators import (
     _Cursor,
     drain,
 )
+from repro.rvm.uridict import UriDictionary, global_uri_dictionary
 
 
 class StaticSource(Operator):
-    """Emits pre-built batches, counting pulls and closes."""
+    """Emits pre-built batches, counting pulls and closes.
+
+    Chunks are written as URIs (``(uri, score)`` pairs with
+    ``scores=True``). ``open`` interns them into the context's
+    dictionary — before the first pull captures the execution's view,
+    as a sync would — and each pull binds its chunk to sort keys."""
 
     def __init__(self, *chunks, ordered: bool = False,
                  scores: bool = False):
         self.ordered = ordered
         self._chunks = [
-            Batch(tuple(u for u, _ in chunk) if scores else tuple(chunk),
-                  scores=tuple(s for _, s in chunk) if scores else None,
-                  ordered=ordered)
+            ([u for u, _ in chunk], tuple(s for _, s in chunk)) if scores
+            else (list(chunk), None)
             for chunk in chunks
         ]
         self.pulls = 0
         self.closes = 0
         self._index = 0
+        self._ctx = None
 
     def open(self, ctx) -> None:
         self._index = 0
+        self._ctx = ctx
+        ctx.dictionary.intern_many(u for uris, _ in self._chunks
+                                   for u in uris)
 
     def next_batch(self):
         self.pulls += 1
         if self._index >= len(self._chunks):
             return None
-        batch = self._chunks[self._index]
+        uris, scores = self._chunks[self._index]
         self._index += 1
-        return batch
+        view = self._ctx.dict_view
+        return Batch(array("q", map(view.key_for, uris)), scores=scores,
+                     ordered=self.ordered, view=view)
 
     def close(self) -> None:
         self.closes += 1
 
 
 class FakeCtx:
-    """The slice of ExecutionContext the operators touch.
-
-    Runs the operators in *string mode*: ``dict_view`` is ``None`` and
-    the key helpers are identities, so batch keys are URI strings and
-    the ordered-stream contract is plain lexicographic order — the same
-    ordering the dictionary's integer sort keys encode in production.
-    """
-
-    dict_view = None
+    """The slice of ExecutionContext the operators touch, over a tiny
+    private dictionary: like the real context it captures one
+    :class:`DictionaryView` lazily, at the first pull, and serves group
+    navigation in catalog-id space (here off a ``{uri: children}``
+    dict, interned up front)."""
 
     def __init__(self, batch_size: int = 4, graph=None):
         self.engine = EngineConfig(batch_size=batch_size)
         self.expanded_views = 0
+        self.dictionary = UriDictionary()
         self._graph = graph or {}
+        for uri, children in self._graph.items():
+            self.dictionary.intern_many([uri, *children])
+        self._dict_view = None
+
+    @property
+    def dict_view(self):
+        if self._dict_view is None:
+            self._dict_view = self.dictionary.view()
+        return self._dict_view
 
     def checkpoint(self) -> None:
         pass
@@ -89,27 +114,30 @@ class FakeCtx:
     def count(self, name: str, amount: int = 1) -> None:
         pass
 
-    def children_of(self, uri: str):
-        return tuple(self._graph.get(uri, ()))
+    def children_ids_of_many(self, frontier) -> list[int]:
+        uri_of, id_of = self.dictionary.uri_of, self.dictionary.id_of
+        return [id_of(child) for node in frontier
+                for child in self._graph.get(uri_of(node), ())]
 
-    # identity key mapping (production converts URIs to int64 keys)
+    def key(self, uri: str) -> int:
+        return self.dict_view.key_for(uri)
 
-    def keys_for_set(self, uris):
-        return tuple(sorted(uris))
-
-    def keys_in_order(self, uris):
-        return tuple(uris)
-
-    def key_for_uri(self, uri):
-        return uri
-
-    def uri_of_key(self, key):
-        return key
+    def uris(self, keys) -> list[str]:
+        """Decode a key sequence (order kept) for an assertion."""
+        return list(self.dict_view.uris_for(list(keys)))
 
 
 def run(op: Operator, ctx=None) -> list[str]:
-    op.open(ctx if ctx is not None else FakeCtx())
-    return list(drain(op))
+    ctx = ctx if ctx is not None else FakeCtx()
+    op.open(ctx)
+    return ctx.uris(drain(op))
+
+
+def _batch(uris, **kwargs) -> Batch:
+    ctx = FakeCtx()
+    ctx.dictionary.intern_many(uris)
+    return Batch(array("q", map(ctx.key, uris)), view=ctx.dict_view,
+                 **kwargs)
 
 
 # -- Batch / chunked ---------------------------------------------------------
@@ -117,22 +145,25 @@ def run(op: Operator, ctx=None) -> list[str]:
 class TestBatch:
     def test_score_column_must_match_length(self):
         with pytest.raises(ValueError):
-            Batch(uris=("a", "b"), scores=(1.0,))
+            _batch(("a", "b"), scores=(1.0,))
 
     def test_truncated_keeps_scores_and_order_flag(self):
-        batch = Batch(uris=("a", "b", "c"), scores=(3.0, 2.0, 1.0),
-                      ordered=True)
+        batch = _batch(("a", "b", "c"), scores=(3.0, 2.0, 1.0),
+                       ordered=True)
         cut = batch.truncated(2)
         assert cut.uris == ("a", "b")
         assert cut.scores == (3.0, 2.0)
         assert cut.ordered
 
     def test_truncated_beyond_length_is_identity(self):
-        batch = Batch(uris=("a",))
+        batch = _batch(("a",))
         assert batch.truncated(5) is batch
 
     def test_chunked_slices_and_flags(self):
-        batches = list(chunked("abcdefg", 3, ordered=True))
+        whole = _batch("abcdefg")
+        batches = list(chunked(whole.keys, 3, ordered=True,
+                               view=whole.view))
+        assert all(isinstance(b.keys, array) for b in batches)
         assert [b.uris for b in batches] == [
             ("a", "b", "c"), ("d", "e", "f"), ("g",)]
         assert all(b.ordered for b in batches)
@@ -143,18 +174,22 @@ class TestBatch:
 class TestCursor:
     def test_advance_to_skips_across_batches(self):
         source = StaticSource(["a", "c"], ["e", "g"], ordered=True)
-        source.open(FakeCtx())
+        ctx = FakeCtx()
+        source.open(ctx)
         cursor = _Cursor(source)
-        assert cursor.ensure() and cursor.value == "a"
-        assert cursor.advance_to("d") and cursor.value == "e"
-        assert not cursor.advance_to("z")
+        assert cursor.ensure() and cursor.value == ctx.key("a")
+        # "d" and "z" are in no batch: late arrivals, keyed in URI order
+        assert cursor.advance_to(ctx.key("d"))
+        assert cursor.value == ctx.key("e")
+        assert not cursor.advance_to(ctx.key("z"))
         assert cursor.exhausted
 
     def test_skips_empty_batches(self):
         source = StaticSource([], ["b"], ordered=True)
-        source.open(FakeCtx())
+        ctx = FakeCtx()
+        source.open(ctx)
         cursor = _Cursor(source)
-        assert cursor.ensure() and cursor.value == "b"
+        assert cursor.ensure() and cursor.value == ctx.key("b")
 
 
 # -- top-k -------------------------------------------------------------------
@@ -194,15 +229,17 @@ class TestPartitionedFilter:
 class TestSetScan:
     def test_fetch_deferred_to_first_pull(self):
         calls = []
+        ctx = FakeCtx(batch_size=2)
+        ids = [ctx.dictionary.intern(uri) for uri in ("b", "a", "c")]
 
         def fetch(ctx):
             calls.append(1)
-            return {"b", "a", "c"}
+            return ids
 
         scan = SetScan(fetch)
-        scan.open(FakeCtx(batch_size=2))
+        scan.open(ctx)
         assert calls == []  # open() does no substrate work
-        assert list(drain(scan)) == ["a", "b", "c"]  # sorted, chunked
+        assert ctx.uris(drain(scan)) == ["a", "b", "c"]  # sorted, chunked
         assert calls == [1]
 
 
@@ -244,8 +281,10 @@ class TestMergeOperators:
     def test_union_stream_is_strictly_increasing(self):
         union = MergeUnion([_ordered("a", "b", "c"), _ordered("b", "c", "d")])
         union.open(FakeCtx(batch_size=1))
-        out = list(drain(union))
-        assert out == sorted(set(out)) == ["a", "b", "c", "d"]
+        keys = list(drain(union))
+        assert keys == sorted(set(keys))  # the ordered-stream contract
+        assert list(union._ctx.dict_view.uris_for(keys)) \
+            == ["a", "b", "c", "d"]
 
     def test_diff_streams_the_anti_join(self):
         universe = _ordered("a", "b", "c", "d", "e")
@@ -365,12 +404,14 @@ class TestExpandOperator:
 
 # -- expansion over the replica (catalog-id space) ---------------------------
 
-def replica_rvm(authority: str, adjacency: dict):
+def replica_rvm(authority: str, adjacency: dict, *, replicate=True):
     """An RVM whose group replica holds exactly ``adjacency`` (node
-    name -> child names; a node's URI is ``ViewId(authority, name)``)."""
+    name -> child names; a node's URI is ``ViewId(authority, name)``).
+    With ``replicate=False`` the policy keeps no replica and the same
+    graph is held as live views instead (query shipping)."""
     from repro.core.identity import ViewId
     from repro.core.resource_view import ResourceView
-    from repro.rvm import ResourceViewManager
+    from repro.rvm import IndexingPolicy, ResourceViewManager
     views: dict = {}
 
     def make(name):
@@ -382,16 +423,25 @@ def replica_rvm(authority: str, adjacency: dict):
             )
         return views[name]
 
-    rvm = ResourceViewManager()
+    rvm = ResourceViewManager(
+        policy=IndexingPolicy(replicate_groups=replicate))
     for name in adjacency:
-        rvm.indexes.group_replica.add(make(name))
+        view = make(name)
+        if replicate:
+            rvm.indexes.group_replica.add(view)
+        else:
+            rvm.sync.live_views[view.view_id.uri] = view
     return rvm
 
 
 def _id_context(rvm, **kwargs):
+    """A real ExecutionContext, plus the handle :class:`StaticSource`
+    interns through (a real context's dictionary is the process's)."""
     from repro.query.executor import ExecutionContext
     from repro.query.functions import FunctionTable
-    return ExecutionContext(rvm, FunctionTable(), **kwargs)
+    ctx = ExecutionContext(rvm, FunctionTable(), **kwargs)
+    ctx.dictionary = global_uri_dictionary()
+    return ctx
 
 
 class TestExpandOverReplica:
@@ -427,10 +477,8 @@ class TestExpandOverReplica:
         replica.children_ids_of_many = spy
         ctx = _id_context(rvm, cancel_token=token,
                           engine=EngineConfig(batch_size=size))
-        view = ctx.dict_view
-        expand = ExpandOperator(
-            StaticSource([view.key_for("cancelwalk://root")]), None,
-            Axis.DESCENDANT, "forward")
+        expand = ExpandOperator(StaticSource(["cancelwalk://root"]), None,
+                                Axis.DESCENDANT, "forward")
         expand.open(ctx)
         with pytest.raises(Cancelled):
             list(drain(expand))
@@ -452,15 +500,86 @@ class TestExpandOverReplica:
         rvm.indexes.group_replica.add(parent)
         late_id = view._dictionary.id_of(late.view_id.uri)
         assert late_id >= len(view._key_of_id)
-        expand = ExpandOperator(
-            StaticSource([view.key_for("latewalk://root")]), None,
-            Axis.DESCENDANT, "forward")
+        expand = ExpandOperator(StaticSource(["latewalk://root"]), None,
+                                Axis.DESCENDANT, "forward")
         expand.open(ctx)
         keys = list(drain(expand))
         assert ctx.expanded_views == 3
         assert sorted(view.uri_for(k) for k in keys) == sorted(
             ViewId("latewalk", f"leaf/{n}").uri for n in (0, 1, "late"))
         assert sum(1 for k in keys if k % KEY_GAP) == 1  # the overlay key
+
+
+# -- expansion without the replica (query shipping) --------------------------
+
+class TestExpandWithoutReplica:
+    def test_uncatalogued_root_expands_through_a_late_id(self):
+        """``/*/*`` over a plugin that was registered but never synced:
+        its root is in no catalog, so ``root_ids`` interns it after the
+        execution captured its view — a late id, bound through the
+        overlay — and the walk still reaches the root's children by
+        resolving it live."""
+        from repro.query import QueryProcessor
+        from repro.query.engine import reference_execute
+        from repro.query.executor import ExecutionContext
+        from repro.rvm import IndexingPolicy, ResourceViewManager
+        from repro.rvm.plugins import FilesystemPlugin
+        from repro.vfs import VirtualFileSystem
+        rvm = ResourceViewManager(policy=IndexingPolicy.minimal())
+        for authority, synced in (("fs", True), ("lateroot", False)):
+            fs = VirtualFileSystem()
+            fs.mkdir("/docs", parents=True)
+            fs.write_file("/docs/a.txt", "alpha")
+            rvm.register_plugin(FilesystemPlugin(fs, authority=authority))
+            if synced:
+                rvm.sync_all()
+        assert "lateroot:///" not in rvm.catalog
+        assert global_uri_dictionary().id_of("lateroot:///") is None
+        processor = QueryProcessor(rvm)
+        stream = processor.execute_iter("/*/*")
+        answer = set(stream)
+        assert "lateroot:///" in stream._ctx.dict_view._overlay
+        assert {"fs:///docs", "lateroot:///docs"} <= answer
+        oracle = ExecutionContext(rvm, processor.functions)
+        plan = processor._prepared_plan(processor.prepare("/*/*"), oracle)
+        assert answer == reference_execute(plan, oracle)
+
+    def test_failing_source_degrades_exactly_its_own_views(self):
+        """Two live views raise on group access: the walk loses their
+        subtrees and nothing else, and records one incident per failed
+        view — the same count the oracle's per-view walk records."""
+        from repro.core.errors import DataSourceError
+        from repro.core.identity import ViewId
+        from repro.core.resource_view import ResourceView
+        from repro.query.engine.reference import _forward
+        from repro.query.plan import AllViews, ExpandStep
+        from repro.trace import TraceCollector
+        rvm = replica_rvm("shipped", {
+            "root": ["ok", "bad/0", "bad/1"], "ok": ["ok/x"], "ok/x": [],
+        }, replicate=False)
+
+        def unreachable():
+            raise DataSourceError("source is down")
+
+        for name in ("bad/0", "bad/1"):
+            view_id = ViewId("shipped", name)
+            rvm.sync.live_views[view_id.uri] = ResourceView(
+                name, group=unreachable, view_id=view_id)
+        root = ViewId("shipped", "root").uri
+        engine = _id_context(rvm, trace=TraceCollector())
+        expand = ExpandOperator(StaticSource([root]), None,
+                                Axis.DESCENDANT, "forward")
+        expand.open(engine)
+        answer = set(engine.dict_view.uris_for(list(drain(expand))))
+        oracle = _id_context(rvm, trace=TraceCollector())
+        step = ExpandStep(input=AllViews(), axis=Axis.DESCENDANT)
+        assert answer == _forward(step, oracle, {root}) == {
+            ViewId("shipped", n).uri for n in ("ok", "bad/0", "bad/1",
+                                               "ok/x")}
+        assert engine.trace.counters["ctx.source_degraded"] \
+            == oracle.trace.counters["ctx.source_degraded"] == 2
+        assert engine.degradation.views_unavailable == 2
+        assert engine.degradation.sources_skipped == ["shipped"]
 
 
 # -- name scan ---------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.errors import QueryExecutionError
 from repro.query.ast import Axis, CompareOp, QualifiedRef
+from repro.query.engine import materialize_set as run
 from repro.query.executor import ExecutionContext
 from repro.query.functions import FunctionTable
 from repro.query.plan import (
@@ -49,29 +50,29 @@ def ctx():
 
 class TestLeafNodes:
     def test_all_views(self, ctx):
-        assert AllViews().execute(ctx) == set(ctx.rvm.catalog.all_uris())
+        assert run(AllViews(), ctx) == set(ctx.rvm.catalog.all_uris())
 
     def test_root_views(self, ctx):
-        assert RootViews().execute(ctx) == {"fs:///"}
+        assert run(RootViews(), ctx) == {"fs:///"}
 
     def test_content_search_term(self, ctx):
-        found = ContentSearch(text="alpha", is_phrase=False).execute(ctx)
+        found = run(ContentSearch(text="alpha", is_phrase=False), ctx)
         assert "fs:///docs/a.txt" in found
 
     def test_name_equals(self, ctx):
-        assert NameEquals(name="a.txt").execute(ctx) == {"fs:///docs/a.txt"}
+        assert run(NameEquals(name="a.txt"), ctx) == {"fs:///docs/a.txt"}
 
     def test_name_pattern(self, ctx):
-        found = NamePattern(pattern="*.txt").execute(ctx)
+        found = run(NamePattern(pattern="*.txt"), ctx)
         assert found == {"fs:///docs/a.txt", "fs:///docs/b.txt"}
 
     def test_class_lookup(self, ctx):
-        sections = ClassLookup(class_name="latex_section").execute(ctx)
+        sections = run(ClassLookup(class_name="latex_section"), ctx)
         assert len(sections) == 2
 
     def test_tuple_compare(self, ctx):
-        big = TupleCompare(attribute="size", op=CompareOp.GT,
-                           value=5).execute(ctx)
+        big = run(TupleCompare(attribute="size", op=CompareOp.GT,
+                               value=5), ctx)
         assert "fs:///docs/a.txt" in big
 
     def test_describe_strings(self, ctx):
@@ -88,19 +89,19 @@ class TestCombinators:
     def test_intersect_empty_short_circuits(self, ctx):
         plan = Intersect((NameEquals(name="nope"),
                           ContentSearch(text="alpha")))
-        assert plan.execute(ctx) == set()
+        assert run(plan, ctx) == set()
 
     def test_union(self, ctx):
         plan = Union((NameEquals(name="a.txt"), NameEquals(name="b.txt")))
-        assert len(plan.execute(ctx)) == 2
+        assert len(run(plan, ctx)) == 2
 
     def test_complement(self, ctx):
-        everything = AllViews().execute(ctx)
+        everything = run(AllViews(), ctx)
         some = NameEquals(name="a.txt")
-        assert Complement(some).execute(ctx) == everything - some.execute(ctx)
+        assert run(Complement(some), ctx) == everything - run(some, ctx)
 
     def test_estimates_bounded_by_universe(self, ctx):
-        universe = len(ctx.all_uris())
+        universe = len(ctx.rvm.catalog)
         for node in (AllViews(), ContentSearch(text="alpha"),
                      NameEquals(name="a.txt"),
                      ClassLookup(class_name="latex_section"),
@@ -117,26 +118,26 @@ class TestCombinators:
 class TestExpandStepDirect:
     def test_child_axis_single_hop(self, ctx):
         step = ExpandStep(input=NameEquals(name="docs"), axis=Axis.CHILD)
-        children = step.execute(ctx)
+        children = run(step, ctx)
         assert children == {"fs:///docs/a.txt", "fs:///docs/b.txt",
                             "fs:///docs/p.tex"}
 
     def test_descendant_axis_transitive(self, ctx):
         step = ExpandStep(input=NameEquals(name="docs"),
                           axis=Axis.DESCENDANT)
-        reached = step.execute(ctx)
+        reached = run(step, ctx)
         assert any("#s" in uri for uri in reached)  # latex sections
 
     def test_backward_child_axis(self, ctx):
         step = ExpandStep(input=NameEquals(name="docs"), axis=Axis.CHILD,
                           candidates=NamePattern(pattern="*.txt"),
                           strategy="backward")
-        assert step.execute(ctx) == {"fs:///docs/a.txt", "fs:///docs/b.txt"}
+        assert run(step, ctx) == {"fs:///docs/a.txt", "fs:///docs/b.txt"}
 
     def test_expanded_views_counted(self, ctx):
         fresh = ExecutionContext(ctx.rvm, FunctionTable())
-        ExpandStep(input=NameEquals(name="docs"),
-                   axis=Axis.DESCENDANT).execute(fresh)
+        run(ExpandStep(input=NameEquals(name="docs"),
+                       axis=Axis.DESCENDANT), fresh)
         assert fresh.expanded_views > 0
 
 

@@ -3,11 +3,17 @@
 from repro.core.identity import ViewId
 from repro.core.resource_view import ResourceView
 from repro.rvm.catalog import ResourceViewCatalog
+from repro.rvm.uridict import global_uri_dictionary
 
 
 def _view(name, path=None, class_name=None, authority="fs"):
     return ResourceView(name, class_name=class_name,
                         view_id=ViewId(authority, path or f"/{name}"))
+
+
+def _uris(ids) -> set[str]:
+    """A bucket of catalog ids, read back through the dictionary."""
+    return set(map(global_uri_dictionary().uri_of, ids))
 
 
 class TestRegistration:
@@ -27,6 +33,16 @@ class TestRegistration:
         catalog.register(view, kind="base", size=99)
         assert catalog.get(view.view_id).size == 99
         assert len(catalog) == 1
+
+    def test_reregister_moves_between_buckets(self):
+        catalog = ResourceViewCatalog()
+        catalog.register(_view("draft", "/doc", "file"), kind="base")
+        catalog.register(_view("final", "/doc", "folder"), kind="base")
+        assert not catalog.ids_by_name("draft")
+        assert not catalog.ids_by_class("file")
+        assert _uris(catalog.ids_by_name("final")) == {"fs:///doc"}
+        assert _uris(catalog.ids_by_class("folder")) == {"fs:///doc"}
+        assert catalog.counts_by_authority() == {"fs": 1}
 
     def test_unregister(self):
         catalog = ResourceViewCatalog()
@@ -57,18 +73,19 @@ class TestLookups:
 
     def test_by_name(self):
         catalog = self._catalog()
-        assert len(catalog.by_name("intro")) == 2
-        assert catalog.by_name("zzz") == []
+        assert _uris(catalog.ids_by_name("intro")) \
+            == {"fs:///a#s1", "fs:///b#s1"}
+        assert not catalog.ids_by_name("zzz")
 
     def test_by_class(self):
         catalog = self._catalog()
-        assert len(catalog.by_class("latex_section")) == 2
-        assert len(catalog.by_class("figure")) == 1
+        assert len(catalog.ids_by_class("latex_section")) == 2
+        assert _uris(catalog.ids_by_class("figure")) == {"fs:///a#e1"}
 
     def test_by_authority(self):
         catalog = self._catalog()
-        assert len(catalog.by_authority("imap")) == 1
-        assert len(catalog.by_authority("fs")) == 3
+        assert _uris(catalog.ids_by_authority("imap")) == {"imap://INBOX/1"}
+        assert len(catalog.ids_by_authority("fs")) == 3
 
     def test_all_uris(self):
         catalog = self._catalog()

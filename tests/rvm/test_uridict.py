@@ -78,14 +78,16 @@ class TestSortKeys:
         uris = [f"vfs://f/{c}" for c in "dacb"]
         d.intern_many(uris)
         view = d.view()
-        keys = view.keys_for_set(uris)
+        ids = [d.id_of(uri) for uri in uris]
+        keys = view.keys_for_ids(ids)
         assert isinstance(keys, array) and keys.typecode == "q"
         assert list(keys) == sorted(keys)
         assert view.uris_for(keys) == tuple(sorted(uris))
-        in_order = view.keys_in_order(uris)
+        in_order = view.keys_in_order_ids(ids)
         assert view.uris_for(in_order) == tuple(uris)
         for uri in uris:
             assert view.uri_for(view.key_for(uri)) == uri
+            assert view.id_for_key(view.key_for(uri)) == d.id_of(uri)
 
     def test_monotonicity_survives_remaps(self):
         """Growing the dictionary and remapping yields a *new* view

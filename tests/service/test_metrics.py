@@ -3,7 +3,7 @@
 import threading
 
 from repro.service import Counter, Histogram, MetricsRegistry
-from repro.service.metrics import _percentile
+from repro.obs.metrics import _percentile
 
 
 class TestCounter:
