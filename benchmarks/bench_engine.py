@@ -1,25 +1,20 @@
-"""Batched-engine benchmarks: LIMIT, parallel scan, compressed keysets.
+"""Batched-engine benchmarks: LIMIT flatness, compressed keysets.
 
 Run as a script (CI smokes ``--quick``)::
 
     PYTHONPATH=src python benchmarks/bench_engine.py --quick
 
-Three experiments (a fourth, the string-key vs int-key merge pipeline,
-went with the engine's string mode; its numbers stay in EXPERIMENTS.md):
+Two experiments (two more went with the code they measured — the
+string-key vs int-key merge pipeline with the engine's string mode, the
+partitioned parallel name scan with the name dictionary; their numbers
+stay in EXPERIMENTS.md):
 
-**LIMIT flatness.** A name-pattern scan is the engine's streaming worst
-case — every catalog name is regex-tested. Without a limit its cost
-grows with the corpus; with ``limit=10`` planned in, ``LimitOp`` closes
-the scan after the first satisfied batch, so latency must stay flat
-(< 2x) while the corpus grows several-fold. The script *asserts* this.
-
-**Parallel scan honesty.** ``partitioned_filter`` fans a predicate over
-contiguous row partitions on a thread pool. Under the GIL a pure-Python
-(CPU-bound) predicate gains ~nothing — threads serialize on the
-interpreter — while a latency-bound predicate (one that waits on I/O,
-here simulated with a GIL-releasing sleep) gains ~Nx. Both regimes are
-measured and reported; only the latency regime's speedup is asserted,
-because that is the only speedup the engine honestly claims.
+**LIMIT flatness.** A name-pattern scan with a one-letter literal is
+the engine's streaming worst case — every distinct catalog name is
+regex-tested. Without a limit its cost grows with the corpus; with
+``limit=10`` planned in, ``LimitOp`` closes the scan after the first
+satisfied batch, so latency must stay flat (< 2x) while the corpus
+grows several-fold. The script *asserts* this.
 
 **Compressed keysets.** The index layer stores catalog-id sets as
 roaring-style :class:`~repro.rvm.keyset.KeySet` s (DESIGN.md §4j):
@@ -34,16 +29,14 @@ string-lookup counter *flat*; the counter assertion is exact.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 import time
 
 from repro.bench import format_table
 from repro.facade import Dataspace
 from repro.imapsim.latency import no_latency
-from repro.query.engine import partitioned_filter
 
-#: The streaming scan under test: regex-matches every catalog name.
+#: The streaming scan under test: regex-matches every distinct name.
 SCAN_QUERY = "//*e*"
 
 #: Corpus growth ladder (generator scale factors). The generator's
@@ -102,52 +95,7 @@ def bench_limit_flatness(scales) -> bool:
     return ok
 
 
-# -- experiment 2: parallel partitioned scan ---------------------------------
-
-def bench_parallel(rows_cpu: int, rows_latency: int,
-                   threads: int = 4) -> bool:
-    names = [f"msg-{i:06d}{'.tex' if i % 7 == 0 else '.txt'}"
-             for i in range(rows_cpu)]
-    regex = re.compile(r"msg-\d+\.tex$")
-
-    def cpu_bound(name: str) -> bool:
-        return regex.match(name) is not None
-
-    def latency_bound(name: str) -> bool:
-        time.sleep(0.0002)  # a live-source probe; the GIL is released
-        return name.endswith(".tex")
-
-    table = []
-    speedups = {}
-    for label, predicate, rows in (
-        ("cpu-bound (regex)", cpu_bound, names),
-        ("latency-bound (0.2ms probe)", latency_bound,
-         names[:rows_latency]),
-    ):
-        serial = _best(
-            lambda: partitioned_filter(rows, predicate, threads=1),
-            repeat=3)
-        pooled = _best(
-            lambda: partitioned_filter(rows, predicate, threads=threads),
-            repeat=3)
-        speedups[label] = serial / pooled
-        table.append([label, len(rows), serial * 1000, pooled * 1000,
-                      serial / pooled])
-    print(format_table(
-        ["predicate regime", "rows", "1 thread [ms]",
-         f"{threads} threads [ms]", "speedup"],
-        table,
-        title="partitioned parallel scan (GIL honesty)",
-    ))
-    latency_speedup = speedups["latency-bound (0.2ms probe)"]
-    if latency_speedup < 1.5:
-        print(f"FAIL: latency-bound speedup {latency_speedup:.1f}x < 1.5x "
-              f"on {threads} threads")
-        return False
-    return True
-
-
-# -- experiment 3: compressed keysets (set algebra + scan edge) --------------
+# -- experiment 2: compressed keysets (set algebra + scan edge) --------------
 
 def bench_keysets(n: int, threshold: float = 1.2) -> bool:
     """Keyset algebra vs ``set[int]``, and the stringless scan edge."""
@@ -223,17 +171,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="small corpora / fewer rows (CI smoke)")
-    parser.add_argument("--threads", type=int, default=4)
     args = parser.parse_args(argv)
 
     scales = QUICK_SCALES if args.quick else FULL_SCALES
-    rows_cpu = 20_000 if args.quick else 100_000
-    rows_latency = 500 if args.quick else 2_000
 
     ok = bench_limit_flatness(scales)
-    print()
-    ok = bench_parallel(rows_cpu, rows_latency,
-                        threads=args.threads) and ok
     print()
     # the keyset claim is "1.2x at 100k+ ids" — quick mode keeps the
     # asserted operating point, full mode scales it up

@@ -160,24 +160,20 @@ class InvertedIndex:
         return self._docs
 
     def stored_items(self) -> Iterator[tuple[str, str]]:
-        """Iterate ``(key, original text)`` pairs (replica indexes only)."""
-        uri_of = self._dictionary.uri_of
-        return ((uri_of(doc), text) for doc, text in self.stored_id_items())
+        """Iterate ``(key, original text)`` pairs (replica indexes only).
 
-    def stored_id_items(self) -> Iterator[tuple[int, str]]:
-        """Iterate ``(catalog id, original text)`` pairs — the id-keyed
-        row source the engine's name scan partitions over.
-
-        The pairs are a snapshot taken now: a name scan consumes them
-        across many pulls while ``refresh()`` adds and removes
-        documents on another thread, and iterating the live dict would
-        raise "dictionary changed size during iteration". ``dict.copy``
-        is one interpreter-lock-held call, so the snapshot is atomic."""
+        The pairs are a snapshot taken now: a caller may consume them
+        while ``refresh()`` adds and removes documents on another
+        thread, and iterating the live dict would raise "dictionary
+        changed size during iteration". ``dict.copy`` is one
+        interpreter-lock-held call, so the snapshot is atomic."""
         if not self.store_text:
             raise FullTextError(
                 "this index is not a replica: original text is not stored"
             )
-        return iter(self._stored_text.copy().items())
+        uri_of = self._dictionary.uri_of
+        return ((uri_of(doc), text)
+                for doc, text in self._stored_text.copy().items())
 
     # -- statistics -----------------------------------------------------------
 

@@ -41,9 +41,9 @@ class Query:
 
     def ids(self, index: InvertedIndex):
         """Matching doc ids as a :class:`~repro.rvm.keyset.KeySet` —
-        the engine-facing form. Boolean nodes override this with
-        word-parallel keyset algebra; positional queries fall back to
-        wrapping :meth:`docs` (the position work dominates there)."""
+        the engine-facing form. Every node here overrides this with
+        keyset algebra over the postings' doc sets; wrapping
+        :meth:`docs` is the default for a node that has none."""
         return _keyset_of(self.docs(index))
 
     def keys(self, index: InvertedIndex) -> set[str]:
@@ -116,15 +116,38 @@ class Phrase(Query):
             candidates &= set(postings.doc_ids())
             if not candidates:
                 return set()
-        out: set[int] = set()
-        for doc in candidates:
-            position_sets = [set(lst.get(doc).positions) for lst in lists]  # type: ignore[union-attr]
-            first = position_sets[0]
-            if any(all(start + offset in position_sets[offset]
-                       for offset in range(1, len(position_sets)))
-                   for start in first):
-                out.add(doc)
-        return out
+        return {doc for doc in candidates if _consecutive(lists, doc)}
+
+    def ids(self, index: InvertedIndex):
+        lists = [index.postings(term) for term in self.terms]
+        if not lists or any(postings is None for postings in lists):
+            return _new_keyset()
+        if len(lists) == 1:
+            # one term: its postings list *is* the answer, positions unread
+            return lists[0].doc_set().copy()
+        # candidates by keyset algebra, rarest list first; only the
+        # survivors pay the positional check
+        lists_sorted = sorted(lists, key=len)
+        candidates = lists_sorted[0].doc_set()
+        for postings in lists_sorted[1:]:
+            candidates = candidates.and_(postings.doc_set())
+            if not candidates:
+                return candidates
+        return _keyset_of(doc for doc in candidates.to_list()
+                          if _consecutive(lists, doc))
+
+
+def _consecutive(lists, doc: int) -> bool:
+    """True when ``doc`` holds the lists' terms at consecutive
+    positions. A document removed since the candidates were read has
+    lost its postings and simply does not match."""
+    entries = [postings.get(doc) for postings in lists]
+    if any(entry is None for entry in entries):
+        return False
+    first, *following = (set(entry.positions) for entry in entries)
+    return any(all(start + offset in positions
+                   for offset, positions in enumerate(following, 1))
+               for start in first)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from .batch import Batch, DEFAULT_BATCH_SIZE, chunked
 from .compile import compile_plan
 from .config import DEFAULT_ENGINE, EngineConfig
 from .operators import Operator
-from .parallel import partitioned_filter
 from .reference import reference_execute
 from .topk import TopKHeap
 
@@ -33,7 +32,6 @@ __all__ = [
     "compile_plan",
     "iter_batches",
     "materialize_set",
-    "partitioned_filter",
     "reference_execute",
 ]
 

@@ -11,18 +11,10 @@ from .batch import DEFAULT_BATCH_SIZE
 class EngineConfig:
     """Per-execution engine configuration.
 
-    ``batch_size`` is the vector width of every operator. ``scan_threads``
-    enables the partitioned parallel catalog/name scan when > 1; the
-    partition list must hold at least ``parallel_threshold`` rows before
-    threads are worth their startup cost (below it the scan stays
-    sequential regardless). Parallel scans materialize their matches, so
-    they trade LIMIT early-termination for throughput — the planner
-    never enables them implicitly.
+    ``batch_size`` is the vector width of every operator.
     """
 
     batch_size: int = DEFAULT_BATCH_SIZE
-    scan_threads: int = 1
-    parallel_threshold: int = 2048
 
 
 DEFAULT_ENGINE = EngineConfig()

@@ -32,11 +32,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from itertools import islice
 from typing import Callable, Iterator
 
 from ..ast import Axis
 from .batch import Batch, chunked, chunked_stream
-from .parallel import partitioned_filter
 
 
 class Operator:
@@ -200,15 +200,15 @@ class CatalogScan(Operator):
 
 
 class NameScan(Operator):
-    """Wildcard name match as a streaming (or partitioned parallel)
-    scan over the name replica — the catalog's metadata when no replica
-    is kept.
+    """Wildcard name match, streamed off the catalog's name dictionary.
 
-    Sequential mode matches incrementally per pull, so a ``Limit``
-    above stops the scan after a sliver of the corpus. With
-    ``EngineConfig.scan_threads > 1`` and a corpus past
-    ``parallel_threshold``, the row list is partitioned across worker
-    threads instead (matches arrive in one burst, input order kept).
+    The pattern is matched per *distinct name*, not per view: the
+    execution context nominates candidate names by the pattern's
+    literal text, verifies them a vector at a time and hands back the
+    ids filed under each match (``ctx.name_pattern_id_stream``). Each
+    pull draws at most one batch of ids from that stream, so a
+    ``Limit`` above stops the scan after a sliver of the names;
+    ``engine.rows_scanned`` counts the names examined.
     """
 
     ordered = False
@@ -216,69 +216,19 @@ class NameScan(Operator):
     def __init__(self, pattern: str):
         self.pattern = pattern
         self._ctx = None
-        self._rows = None
-        self._regex = None
-        self._parallel_chunks: Iterator[Batch] | None = None
-        self._done = False
+        self._ids: Iterator[int] | None = None
 
     def open(self, ctx) -> None:
         self._ctx = ctx
-        self._rows = None
-        self._parallel_chunks = None
-        self._done = False
-
-    def _start(self) -> None:
-        from ..plan import wildcard_regex
-        ctx = self._ctx
-        ctx.count("ctx.name_pattern")
-        self._regex = wildcard_regex(self.pattern)
-        config = ctx.engine
-        if config.scan_threads > 1:
-            rows = list(ctx.name_rows())
-            if len(rows) >= config.parallel_threshold:
-                ctx.count("ctx.name_scan_parallel")
-                ctx.count("engine.rows_scanned", len(rows))
-                regex = self._regex
-                matched = partitioned_filter(
-                    rows, lambda row: regex.match(row[1]) is not None,
-                    threads=config.scan_threads,
-                )
-                view = ctx.dict_view
-                self._parallel_chunks = chunked(
-                    view.keys_in_order_ids([doc for doc, _ in matched]),
-                    config.batch_size, view=view,
-                )
-                return
-            self._rows = iter(rows)
-            return
-        self._rows = ctx.name_rows()
+        self._ids = None
 
     def next_batch(self) -> Batch | None:
-        if self._done:
-            return None
         ctx = self._ctx
-        ctx.checkpoint()  # both paths: cancellation observed once per pull
-        if self._rows is None and self._parallel_chunks is None:
-            self._start()
-        if self._parallel_chunks is not None:
-            batch = next(self._parallel_chunks, None)
-            if batch is None:
-                self._done = True
-            return batch
-        size = ctx.engine.batch_size
-        regex = self._regex
-        matched: list = []
-        scanned = 0
-        for doc, name in self._rows:
-            scanned += 1
-            if regex.match(name):
-                matched.append(doc)
-                if len(matched) >= size:
-                    break
-        else:
-            self._done = True
-        if scanned:
-            ctx.count("engine.rows_scanned", scanned)
+        ctx.checkpoint()  # cancellation observed once per pull
+        if self._ids is None:
+            ctx.count("ctx.name_pattern")
+            self._ids = ctx.name_pattern_id_stream(self.pattern)
+        matched = [*islice(self._ids, ctx.engine.batch_size)]
         if not matched:
             return None
         view = ctx.dict_view

@@ -12,6 +12,13 @@ answers arrive from the execution context as catalog ids and are
 turned into strings right here (:func:`_uris`), the universe is read
 off the catalog, and navigation uses the context's two URI-typed
 primitives, ``children_of`` / ``parents_of``.
+
+A wildcard name test is the exception among the leaves: the engine
+answers it from the catalog's ordered name dictionary, so the oracle
+keeps the plain scan that preceded it — one regex match per named
+view, read off the name replica (:func:`_name_pattern`). Every
+engine ≡ oracle comparison therefore checks the dictionary path
+against the row-at-a-time one.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from ..plan import (
     RootViews,
     TupleCompare,
     Union,
+    wildcard_regex,
 )
 
 
@@ -54,7 +62,7 @@ def reference_execute(node: PlanNode, ctx) -> set[str]:
     if isinstance(node, NameEquals):
         return _uris(ctx.name_equals_ids(node.name))
     if isinstance(node, NamePattern):
-        return _uris(ctx.name_pattern_ids(node.pattern))
+        return _name_pattern(node.pattern, ctx)
     if isinstance(node, ClassLookup):
         return _uris(ctx.class_lookup_ids(node.class_name))
     if isinstance(node, TupleCompare):
@@ -86,6 +94,19 @@ def reference_execute(node: PlanNode, ctx) -> set[str]:
     raise QueryExecutionError(
         f"reference evaluator cannot run {type(node).__name__}"
     )
+
+
+def _name_pattern(pattern: str, ctx) -> set[str]:
+    """One regex match per named view: off the name replica when it is
+    kept, else off the catalog's records."""
+    ctx.checkpoint()
+    if ctx.rvm.indexes.policy.index_names:
+        rows = ctx.rvm.indexes.name_index.stored_items()
+    else:
+        rows = ((record.uri, record.name)
+                for record in ctx.rvm.catalog.all_records() if record.name)
+    regex = wildcard_regex(pattern)
+    return {uri for uri, name in rows if regex.match(name)}
 
 
 def _reference_expand(node: ExpandStep, ctx) -> set[str]:

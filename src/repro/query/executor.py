@@ -9,12 +9,13 @@ indirectly related resource views by forward expansion".
 
 from __future__ import annotations
 
-import re
 import time
+from array import array
 from contextlib import nullcontext
-from itertools import chain
+from itertools import chain, islice
 from dataclasses import dataclass, field
 from datetime import datetime
+from typing import Callable, Iterator
 
 from .. import obs
 from ..core.errors import (
@@ -77,6 +78,7 @@ from .plan import (
     TupleCompare,
     Union,
     compare_values,
+    wildcard_literals,
     wildcard_regex,
 )
 
@@ -128,8 +130,8 @@ class ExecutionContext:
     execution into an EXPLAIN ANALYZE. When absent the accounting costs
     one ``is None`` check per call site.
 
-    ``engine`` tunes the batched engine (vector width, parallel scan
-    threads); see :class:`repro.query.engine.EngineConfig`.
+    ``engine`` tunes the batched engine (its vector width); see
+    :class:`repro.query.engine.EngineConfig`.
 
     ``tenant`` is the admission-time tenant label (multi-tenant serving):
     purely observational — it changes no execution behaviour, but the
@@ -288,13 +290,15 @@ class ExecutionContext:
 
     def name_pattern_estimate(self, pattern: str) -> int:
         """Cardinality estimate for a wildcard name match: exact when the
-        pattern is literal, otherwise the count of names carrying the
-        pattern's literal prefix (every match must share it)."""
+        pattern is literal, otherwise the views filed under the names
+        carrying the pattern's literal prefix (every match shares it) —
+        a bisected range of the name dictionary, no name examined."""
+        catalog = self.rvm.catalog
         if "*" not in pattern and "?" not in pattern:
-            return len(self.rvm.catalog.ids_by_name(pattern))
-        prefix = re.split(r"[*?]", pattern, maxsplit=1)[0]
-        return sum(1 for _, name in self.name_rows()
-                   if name.startswith(prefix))
+            return len(catalog.ids_by_name(pattern))
+        prefix, _ = wildcard_literals(pattern)
+        return catalog.views_named(
+            catalog.name_dictionary().with_prefix(prefix))
 
     def expand_estimate(self, input_estimate: int, axis: Axis) -> int:
         """Bound on the views reached by one expansion: the input times
@@ -313,22 +317,31 @@ class ExecutionContext:
         self.count("ctx.name_equals")
         return self.rvm.catalog.ids_by_name(name)
 
-    def name_rows(self):
-        """``(catalog id, name)`` of every named view: off the name
-        replica when it is kept, else off the catalog's metadata (every
-        registered URI is interned, so ``id_of`` never misses)."""
-        if self.rvm.indexes.policy.index_names:
-            return self.rvm.indexes.name_index.stored_id_items()
-        id_of = global_uri_dictionary().id_of
-        return ((id_of(record.uri), record.name)
-                for record in self.rvm.catalog.all_records() if record.name)
+    def name_pattern_id_stream(self, pattern: str) -> Iterator[int]:
+        """Catalog ids of the views whose name matches ``pattern``,
+        streamed lazily, name bucket after name bucket.
+
+        The pattern is matched against *distinct names*, a vector of
+        ``engine.batch_size`` candidates at a time (counted into
+        ``engine.rows_scanned``), and only against those the catalog's
+        name dictionary nominates for the pattern's literal text; an
+        abandoned stream examines no further name. The dictionary is an
+        immutable snapshot, so a ``refresh()`` between two pulls cannot
+        break the scan — a name it removed meanwhile just yields no ids.
+        """
+        catalog = self.rvm.catalog
+        candidates = catalog.name_dictionary().candidates(
+            *wildcard_literals(pattern))
+        match = wildcard_regex(pattern).match
+        size = self.engine.batch_size
+        while names := [*islice(candidates, size)]:
+            self.count("engine.rows_scanned", len(names))
+            yield from catalog.ids_of_names(filter(match, names))
 
     def name_pattern_ids(self, pattern: str) -> KeySet:
         self.checkpoint()
         self.count("ctx.name_pattern")
-        regex = wildcard_regex(pattern)
-        return KeySet.from_iterable(doc for doc, name in self.name_rows()
-                                    if regex.match(name))
+        return KeySet.from_iterable(self.name_pattern_id_stream(pattern))
 
     # -- group navigation (replica or live fallback) -------------------------
 
@@ -507,24 +520,33 @@ class JoinHit:
 
 @dataclass
 class QueryResult:
-    """The result of one iQL execution."""
+    """The result of one iQL execution.
+
+    A unary answer *is* its key column: counting it never touches the
+    URI dictionary, :meth:`uris` decodes the column once, and
+    :attr:`hits` looks rows up in the catalog only when read.
+    """
 
     query: str
-    hits: list[Hit] = field(default_factory=list)
     pairs: list[JoinHit] = field(default_factory=list)
     elapsed_seconds: float = 0.0
     expanded_views: int = 0
     plan_text: str = ""
-    #: the engine's materialized result batches, in pipeline emission
-    #: order (empty for joins) — the serving layer's result cache keeps
-    #: these so cached streams replay without re-execution
-    batches: tuple[Batch, ...] = ()
+    #: a unary answer: the distinct sort keys, ascending, as one ordered
+    #: batch with the execution's dictionary view pinned — so it decodes
+    #: to the same URIs however many remaps it outlives (the serving
+    #: layer caches results). ``None`` for a join.
+    column: Batch | None = None
+    #: names one matched URI as a :class:`Hit` (the processor's catalog
+    #: lookup); called when :attr:`hits` is first read, not before
+    describe: Callable[[str], Hit] | None = field(default=None, repr=False)
     #: the TraceCollector of a traced execution (None otherwise)
     trace: object = None
     #: what this execution had to do without (empty when healthy)
     degradation: DegradationReport = field(
         default_factory=DegradationReport
     )
+    _hits: list[Hit] | None = field(default=None, init=False, repr=False)
 
     @property
     def is_degraded(self) -> bool:
@@ -537,24 +559,40 @@ class QueryResult:
         return self.plan_text.startswith("Join")
 
     def __len__(self) -> int:
-        """Result cardinality: join hits for a join, hits otherwise.
+        """Result cardinality: join hits for a join, rows of the key
+        column otherwise (nothing is decoded to count).
 
         A join result counts its pairs even when that count is zero —
-        it never falls back to the (always empty) unary hit list.
+        it never falls back to the (always empty) unary answer.
         """
-        return len(self.pairs) if self.is_join else len(self.hits)
+        if self.is_join:
+            return len(self.pairs)
+        return len(self.column) if self.column is not None else 0
 
     def uris(self) -> list[str]:
         """The distinct matched URIs, sorted.
 
         For a join these are the deduplicated pair members (a URI
         appearing on both sides, or in several pairs, is listed once).
+        A unary answer decodes its column on the first call and keeps
+        the strings (the batch caches them; decoding is idempotent, so
+        threads sharing a cached result may race here harmlessly).
         """
         if self.is_join:
             members = {hit.uri for pair in self.pairs
                        for hit in (pair.left, pair.right)}
             return sorted(members)
-        return [h.uri for h in self.hits]
+        return list(self.column.uris) if self.column is not None else []
+
+    @property
+    def hits(self) -> list[Hit]:
+        """One :class:`Hit` per row of a unary answer, in URI order:
+        built on first read (one catalog lookup per row), then kept."""
+        hits = self._hits
+        if hits is None:
+            hits = self._hits = ([] if self.column is None else
+                                 [*map(self.describe, self.column.uris)])
+        return hits
 
 
 class StreamingResult:
@@ -732,23 +770,26 @@ class QueryProcessor:
                     )
                 plan = self._prepared_plan(prepared, ctx, trace=trace,
                                            limit=limit)
-                uris: set[str] = set()
-                batches: list[Batch] = []
+                keys = array("q")
+                ordered = True
                 for batch in iter_batches(plan, ctx):
-                    batches.append(batch)
-                    uris.update(batch.uris)
+                    keys.extend(batch.keys)
+                    ordered = ordered and batch.ordered
         finally:
             uninstall_resilience_sink(sink_token)
+        if not ordered:
+            # an ordered stream is strictly increasing across batches;
+            # an unordered one is distinct but in pipeline order
+            keys = array("q", sorted(set(keys)))
         elapsed = time.perf_counter() - started
-        self._record_execution(prepared.text, elapsed, rows=len(uris),
+        self._record_execution(prepared.text, elapsed, rows=len(keys),
                                trace=trace, plan_text=plan.explain(),
                                degradation=ctx.degradation, tenant=tenant)
-        hits = sorted((self._hit(uri) for uri in uris),
-                      key=lambda h: h.uri)
         return QueryResult(
-            query=prepared.text, hits=hits, elapsed_seconds=elapsed,
+            query=prepared.text, elapsed_seconds=elapsed,
             expanded_views=ctx.expanded_views, plan_text=plan.explain(),
-            batches=tuple(batches),
+            column=Batch(keys, ordered=True, view=ctx.dict_view),
+            describe=self._hit,
             trace=trace,
             degradation=ctx.degradation,
         )

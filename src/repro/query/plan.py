@@ -45,6 +45,15 @@ def wildcard_regex(pattern: str) -> re.Pattern[str]:
     return re.compile("^" + "".join(parts) + "$")
 
 
+def wildcard_literals(pattern: str) -> tuple[str, str]:
+    """The literal text every match of a ``*``/``?`` pattern carries:
+    the run before the first wildcard (a match starts with it) and the
+    longest run anywhere (a match contains it). They only narrow where
+    to look — :func:`wildcard_regex` alone decides what matches."""
+    runs = re.split(r"[*?]", pattern)
+    return runs[0], max(runs, key=len)
+
+
 class PlanNode:
     """Base class: a logical description the engine compiles and runs.
 
@@ -133,7 +142,8 @@ class NameEquals(PlanNode):
 
 @dataclass
 class NamePattern(PlanNode):
-    """Wildcard name match — a scan over the name replica."""
+    """Wildcard name match — over the distinct names of the catalog's
+    name dictionary, never over the views."""
 
     COST = 4
     pattern: str = ""

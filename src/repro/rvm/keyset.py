@@ -124,41 +124,33 @@ class KeySet:
 
     @classmethod
     def from_iterable(cls, ids: Iterable[int]) -> "KeySet":
-        out = cls()
-        add = out.add
-        for i in ids:
-            add(i)
-        return out
+        """Bulk build from ids in any order (duplicates tolerated): one
+        C-level sort, then one container per chunk — the index → engine
+        handoff never pays a copy-on-write :meth:`add` per member."""
+        return cls._from_distinct(sorted(set(ids)))
 
     @classmethod
     def from_sorted(cls, ids: Iterable[int]) -> "KeySet":
         """Bulk build from non-decreasing ids (duplicates tolerated)."""
+        return cls._from_distinct(list(dict.fromkeys(ids)))
+
+    @classmethod
+    def _from_distinct(cls, ids: list[int]) -> "KeySet":
+        """One container per 65 536-wide run of a strictly increasing
+        id list, each cut out by bisection and packed in one call."""
         out = cls()
         chunks = out._chunks
-        base = None
-        lows: list[int] = []
-        total = 0
-        for i in ids:
-            b = i >> CHUNK_BITS
-            if b != base:
-                if lows:
-                    chunks[base] = cls._seal(lows)
-                    total += len(lows)
-                base, lows = b, []
-            low = i & CHUNK_MASK
-            if not lows or lows[-1] != low:
-                lows.append(low)
-        if lows:
-            chunks[base] = cls._seal(lows)
-            total += len(lows)
-        out._len = total
+        start, end = 0, len(ids)
+        while start < end:
+            base = ids[start] >> CHUNK_BITS
+            stop = bisect_left(ids, (base + 1) << CHUNK_BITS, start, end)
+            lows = array("q", ids[start:stop] if not base else
+                         [i & CHUNK_MASK for i in ids[start:stop]])
+            chunks[base] = (lows if len(lows) <= SPARSE_MAX
+                            else _array_to_bitmap(lows))
+            start = stop
+        out._len = end
         return out
-
-    @staticmethod
-    def _seal(lows: list[int]):
-        if len(lows) > SPARSE_MAX:
-            return _array_to_bitmap(lows)  # type: ignore[arg-type]
-        return array("q", lows)
 
     def copy(self) -> "KeySet":
         """O(chunks): containers are shared (they are never mutated in

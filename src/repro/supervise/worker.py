@@ -205,7 +205,7 @@ class ShardWorker:
         if queue_wait is not None:
             extra["queue_wait"] = queue_wait
         self._reply_ok(
-            request, uris=list(result.uris()), count=len(result),
+            request, uris=result.uris(), count=len(result),
             elapsed=elapsed, degraded=bool(result.is_degraded), **extra,
         )
 

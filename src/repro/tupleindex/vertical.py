@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from datetime import date, datetime
+from operator import itemgetter
 from typing import Any, Iterator
 
 from ..core.components import TupleComponent
@@ -40,6 +41,11 @@ def _sort_key(value: Any) -> tuple[int, Any]:
     if isinstance(value, str):
         return (_GROUP_TEXT, value)
     return (_GROUP_OTHER, repr(value))
+
+
+#: the fields of one column entry ``((group, comparable), key, value)``
+_ENTRY_SORT_KEY = itemgetter(0)
+_ENTRY_KEY = itemgetter(1)
 
 
 class VerticalColumn:
@@ -87,28 +93,32 @@ class VerticalColumn:
 
     def range(self, low: Any = None, high: Any = None, *,
               include_low: bool = True, include_high: bool = True) -> list[Any]:
-        """Keys with ``low <= value <= high`` (one type group only)."""
+        """Keys with ``low <= value <= high`` (one type group only).
+
+        Both ends are found by bisection over the sort keys — tuple
+        comparisons in C, each bound's sort key computed once — and the
+        answer is one slice. A slice clamps, so a writer deleting
+        entries meanwhile shortens the answer instead of raising.
+        """
+        entries = self._entries
         if low is None and high is None:
-            return [key for _, key, _ in self._entries]
-        anchor = low if low is not None else high
-        group = _sort_key(anchor)[0]
-        if low is not None:
-            start = bisect_left(self._entries, (_sort_key(low),))
+            return [*map(_ENTRY_KEY, entries)]
+        low_key = _sort_key(low) if low is not None else None
+        high_key = _sort_key(high) if high is not None else None
+        group = (low_key if low_key is not None else high_key)[0]
+        # an open end (or a bound in a later group) stops at the type
+        # group's edge: (group,) sorts before every (group, value)
+        if low_key is None:
+            start = bisect_left(entries, (group,), key=_ENTRY_SORT_KEY)
         else:
-            start = bisect_left(self._entries, ((group,),))
-        out = []
-        for index in range(start, len(self._entries)):
-            sort_key, key, _ = self._entries[index]
-            if sort_key[0] != group:
-                break
-            if high is not None:
-                high_key = _sort_key(high)
-                if sort_key > high_key or (sort_key == high_key and not include_high):
-                    break
-            if low is not None and not include_low and sort_key == _sort_key(low):
-                continue
-            out.append(key)
-        return out
+            start = (bisect_left if include_low else bisect_right)(
+                entries, low_key, key=_ENTRY_SORT_KEY)
+        if high_key is None or high_key[0] > group:
+            stop = bisect_left(entries, (group + 1,), key=_ENTRY_SORT_KEY)
+        else:
+            stop = (bisect_right if include_high else bisect_left)(
+                entries, high_key, key=_ENTRY_SORT_KEY)
+        return [*map(_ENTRY_KEY, entries[start:stop])]
 
     def values(self) -> Iterator[tuple[Any, Any]]:
         for _, key, value in self._entries:

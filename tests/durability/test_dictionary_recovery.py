@@ -58,15 +58,14 @@ class TestDictionaryRecovery:
 
     def test_recovered_answers_flow_through_integer_batches(self, recovered):
         """The equality above must come from the dictionary path, not a
-        string fallback: result batches carry int64 key columns."""
+        string fallback: the result is an int64 key column."""
         _, dataspace = recovered
-        result = dataspace.query('"database"')
-        assert result.batches
-        for batch in result.batches:
-            assert isinstance(batch.keys, array)
-            assert batch.keys.typecode == "q"
-            assert batch.view is not None
-            assert batch.uris == batch.view.uris_for(batch.keys)
+        column = dataspace.query('"database"').column
+        assert len(column)
+        assert isinstance(column.keys, array)
+        assert column.keys.typecode == "q"
+        assert column.view is not None
+        assert column.uris == column.view.uris_for(column.keys)
 
     def test_engine_matches_oracle_after_recovery(self, recovered):
         _, dataspace = recovered

@@ -85,7 +85,8 @@ class TestDictionaryMetrics:
         # from earlier tests; a probe intern forces the next execution
         # to remap inside this test's fresh registry
         global_uri_dictionary().intern("probe://dict-metrics")
-        dataspace.query('"database"')
+        # lookups are counted where keys become strings: reading the URIs
+        dataspace.query('"database"').uris()
         snapshot = obs.global_metrics().snapshot()
         assert snapshot["query.dict.size"] > 0
         assert snapshot["query.dict.lookups"] > 0

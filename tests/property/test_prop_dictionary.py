@@ -129,8 +129,8 @@ class TestMutationInterleaving:
         for round_number in range(4):
             # a query executed before the mutation pins its view
             before = dataspace.query('"database"')
-            old_batches = before.batches
-            old_uris = [b.uris for b in old_batches]
+            column = before.column
+            old_uris = before.uris()
 
             path = f"/Projects/dict-round-{round_number}.txt"
             dataspace.vfs.write_file(
@@ -149,10 +149,10 @@ class TestMutationInterleaving:
             hits = dataspace.query(f'name = "dict-round-{round_number}.txt"')
             assert len(hits) == 1
 
-            # batches captured before the sync still materialize the
+            # a column captured before the sync still decodes to the
             # same URIs: remaps replace arrays, they never mutate a
             # live view's
-            assert [b.uris for b in old_batches] == old_uris
+            assert list(column.view.uris_for(column.keys)) == old_uris
 
     def test_old_view_self_heals_on_late_arrivals(self):
         """A view captured before a sync resolves post-sync URIs via

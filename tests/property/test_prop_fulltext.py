@@ -4,7 +4,16 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
-from repro.fulltext import And, InvertedIndex, Not, Phrase, Term
+from repro.fulltext import (
+    And,
+    InvertedIndex,
+    MatchAll,
+    Not,
+    Or,
+    Phrase,
+    Term,
+    Wildcard,
+)
 from repro.fulltext.analyzer import DEFAULT_ANALYZER
 
 _WORDS = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6)
@@ -70,6 +79,46 @@ class TestAlgebraicLaws:
             terms = DEFAULT_ANALYZER.terms(text)
             for left, right in zip(terms, terms[1:]):
                 assert f"d{position}" in Phrase((left, right)).keys(index)
+
+
+class TestKeysetFormMatchesSetForm:
+    """Every query node answers twice: ``docs`` (plain ``set[int]``,
+    positions checked per document — the reference) and ``ids`` (keyset
+    algebra over the postings' doc sets — what the engine consumes).
+    They must be the same set, on corpora that had documents removed."""
+
+    #: a two-letter alphabet: repeated words, so multi-term phrases hit
+    _SMALL = st.lists(
+        st.lists(st.sampled_from(["ab", "ba", "aa", "b", "abab"]),
+                 min_size=1, max_size=12).map(" ".join),
+        min_size=1, max_size=10,
+    )
+
+    @given(_SMALL, st.sets(st.integers(0, 9), max_size=4),
+           st.lists(st.sampled_from(["ab", "ba", "aa", "b", "abab", "zz"]),
+                    min_size=3, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_ids_equal_docs_for_every_node(self, texts, removed, words):
+        index = _build(texts)
+        for position in removed:
+            index.remove(f"d{position}")
+        w1, w2, w3 = words
+        leaves = [Term(w1), Term(f"{w1} {w2}"),  # analyzes to a phrase
+                  Phrase(()), Phrase((w1,)), Phrase((w1, w2)),
+                  Phrase((w1, w2, w3)), Phrase((w1, w1)),
+                  Wildcard(f"{w1[0]}*"), Wildcard("?b*"), Wildcard("zz*"),
+                  MatchAll()]
+        nodes = leaves + [
+            And((Phrase((w1, w2)), Term(w3))),
+            And(()),
+            Or((Phrase((w1,)), Wildcard(f"{w2[0]}?"))),
+            Or(()),
+            Not(Phrase((w1, w2))),
+            Not(Or((Term(w1), Term(w2)))),
+            And((Not(Term(w3)), MatchAll())),
+        ]
+        for node in nodes:
+            assert node.ids(index).to_list() == sorted(node.docs(index)), node
 
 
 class TestRemovalInvariants:

@@ -25,7 +25,6 @@ from repro.query.engine import (
     EngineConfig,
     TopKHeap,
     chunked,
-    partitioned_filter,
 )
 from repro.query.engine.operators import (
     ConcatUnion,
@@ -208,20 +207,6 @@ class TestTopKHeap:
         for uri in ["c", "a", "b"]:
             heap.push(uri, 1.0)
         assert heap.best_first() == [("a", 1.0), ("b", 1.0)]
-
-
-# -- partitioned filter ------------------------------------------------------
-
-class TestPartitionedFilter:
-    def test_matches_sequential_filter_and_preserves_order(self):
-        rows = [f"row-{i}" for i in range(100)]
-        predicate = lambda row: row.endswith(("0", "5"))  # noqa: E731
-        expected = [row for row in rows if predicate(row)]
-        assert partitioned_filter(rows, predicate, threads=1) == expected
-        assert partitioned_filter(rows, predicate, threads=4) == expected
-
-    def test_more_threads_than_rows(self):
-        assert partitioned_filter(["x"], lambda r: True, threads=8) == ["x"]
 
 
 # -- scans -------------------------------------------------------------------
@@ -586,22 +571,34 @@ class TestExpandWithoutReplica:
 
 class TestNameScan:
     def test_name_index_may_change_between_pulls(self):
-        """The scan reads a snapshot of the name replica: a refresh()
-        that adds and removes names between two pulls must not break
-        the iteration (it used to raise "dictionary changed size during
-        iteration")."""
+        """The scan reads an immutable snapshot of the catalog's name
+        dictionary: a refresh() that creates and empties name buckets
+        between two pulls must not break the iteration (the row scan it
+        replaced once raised "dictionary changed size during
+        iteration"), every view the writer left alone is returned
+        exactly once, and the next scan sees the new names."""
+        from repro.core.identity import ViewId
+        from repro.core.resource_view import ResourceView
         from repro.rvm import ResourceViewManager
         rvm = ResourceViewManager()
-        names = rvm.indexes.name_index
-        uris = [f"namescan://doc/{i:02d}" for i in range(20)]
-        for uri in uris:
-            names.add(uri, "report.tex")
+        views = [ResourceView(f"report-{i:02d}.tex",
+                              view_id=ViewId("namescan", f"doc/{i:02d}"))
+                 for i in range(20)]
+        for view in views:
+            rvm.catalog.register(view, kind="base")
+        uris = [view.view_id.uri for view in views]
         ctx = _id_context(rvm, engine=EngineConfig(batch_size=4))
         scan = NameScan("*.tex")
         scan.open(ctx)
         first = scan.next_batch()
         assert len(first) == 4
-        names.add("namescan://doc/new", "late.tex")
-        names.remove(uris[-1])
+        late = ResourceView("late.tex", view_id=ViewId("namescan", "doc/new"))
+        rvm.catalog.register(late, kind="base")
+        rvm.catalog.unregister(uris[-1])
         rest = list(drain(scan))
-        assert sorted([*first.uris, *ctx.dict_view.uris_for(rest)]) == uris
+        assert sorted([*first.uris, *ctx.dict_view.uris_for(rest)]) \
+            == uris[:-1]
+        ctx = _id_context(rvm)
+        scan.open(ctx)
+        assert sorted(ctx.dict_view.uris_for(list(drain(scan)))) \
+            == sorted([*uris[:-1], late.view_id.uri])

@@ -291,10 +291,95 @@ class TestResultShape:
         assert view is not None and "tuning" in view.text()
 
     def test_result_carries_its_batches(self, qp):
+        """The answer is one ordered key column with its view pinned;
+        the streamed batches of the same query concatenate to it."""
         result = qp.execute('"database"')
-        assert result.batches
-        streamed = {uri for batch in result.batches for uri in batch.uris}
+        column = result.column
+        assert column.ordered and list(column.keys) == sorted(set(column.keys))
+        assert list(column.uris) == result.uris()
+        streamed = {uri for batch in qp.execute_iter('"database"').batches()
+                    for uri in batch.uris}
         assert streamed == set(result.uris())
+
+
+class TestResultContract:
+    """A unary answer is its key column: what the caller does not ask
+    for is not computed, and what it asks for later is still right."""
+
+    def test_counting_and_limiting_decode_nothing(self, qp):
+        from repro.rvm.uridict import global_uri_dictionary
+        dictionary = global_uri_dictionary()
+        qp.execute('"database"')  # any pending remap happens here
+        before = dictionary.lookups
+        full = qp.execute('"database"')
+        limited = qp.execute('"database"', limit=2)
+        assert len(full) >= 4 and len(limited) == 2
+        assert dictionary.lookups == before
+        assert set(limited.uris()) <= set(full.uris())
+        # decoding is counted once per result, however often it is read
+        assert dictionary.lookups == before + len(limited) + len(full)
+        full.uris(), full.hits, limited.hits
+        assert dictionary.lookups == before + len(limited) + len(full)
+
+    def test_lazy_hits_are_the_eager_list(self, qp):
+        """``hits`` is built on first read; it is the list the executor
+        used to build for every execution: one catalog-described
+        ``Hit`` per distinct URI, in URI order."""
+        result = qp.execute('//*.tex')
+        eager = sorted((qp._hit(uri) for uri in set(result.uris())),
+                       key=lambda hit: hit.uri)
+        assert result.hits == eager and len(eager) == len(result)
+        assert result.hits is result.hits  # kept, not rebuilt
+        assert {hit.name for hit in result.hits} == {"main.tex", "old.tex"}
+
+    def test_uris_returns_a_private_list(self, qp):
+        result = qp.execute('"database"')
+        first = result.uris()
+        first.clear()  # a caller's edit must not reach the next reader
+        assert len(result.uris()) == len(result) > 0
+
+    def test_one_result_read_from_two_threads(self, qp):
+        """The service's result cache hands one ``QueryResult`` to many
+        request threads: their first reads may race, and every reader
+        must still see the whole answer."""
+        import threading
+        expected = qp.execute('"database"').uris()
+        for _ in range(20):
+            shared = qp.execute('"database"')
+            barrier = threading.Barrier(2)
+            seen: list = []
+
+            def read():
+                barrier.wait(timeout=10)
+                seen.append((shared.uris(), [h.uri for h in shared.hits],
+                             len(shared)))
+
+            threads = [threading.Thread(target=read) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert seen == [(expected, expected, len(expected))] * 2
+
+    def test_result_outlives_a_dictionary_remap(self, qp):
+        """The column pins the dictionary view it was bound through: a
+        remap that shifts every rank afterwards cannot change what an
+        undecoded (say, cached) result decodes to."""
+        import uuid
+        from repro.rvm.uridict import global_uri_dictionary
+        dictionary = global_uri_dictionary()
+        held = qp.execute('"database"')  # not decoded yet
+        version = dictionary.view().version
+        # new URIs that sort before, between and after the corpus's
+        dictionary.intern_many([f"{scheme}://remap/{uuid.uuid4().hex}"
+                                for scheme in ("aaa", "fs", "imap", "zzz")])
+        fresh = qp.execute('"database"')  # remaps, binds to new keys
+        assert dictionary.view().version > version
+        assert held.column.view is not fresh.column.view
+        assert list(held.column.keys) != list(fresh.column.keys)
+        assert held.uris() == fresh.uris()
+        assert held.hits == fresh.hits
 
 
 class TestJoinResultShape:

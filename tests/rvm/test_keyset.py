@@ -122,6 +122,32 @@ class TestPromotionBoundaries:
             assert layout == {"chunks": 1, "dense": 0, "sparse": 1}
         assert keyset.to_list() == list(range(count))
 
+    @pytest.mark.parametrize("count", [SPARSE_MAX - 1, SPARSE_MAX,
+                                       SPARSE_MAX + 1])
+    def test_bulk_build_is_the_add_built_set(self, count):
+        """``from_iterable`` takes unsorted, duplicated, multi-chunk
+        input in one sort and lands on exactly the containers a chain
+        of ``add`` calls does — either side of the promotion point,
+        chunk by chunk."""
+        import random
+        width = CHUNK_MASK + 1
+        members = ([3 * i for i in range(count)]            # chunk 0
+                   + [width + 5 * i for i in range(7)]      # chunk 1: sparse
+                   + [2 * width + i for i in range(count + 1)]  # chunk 2
+                   + [5 * width - 1])                       # a gap, chunk 4
+        ids = members + members[::3]                        # duplicates
+        random.Random(count).shuffle(ids)
+        added = KeySet()
+        for member in ids:
+            added.add(member)
+        bulk = KeySet.from_iterable(ids)
+        assert bulk == added and added == bulk
+        assert bulk.chunk_layout() == added.chunk_layout()
+        check_equal(bulk, set(members))
+        assert KeySet.from_sorted(sorted(ids)) == added
+        assert KeySet.from_iterable(iter(ids)) == added  # a one-shot iterator
+        assert KeySet.from_iterable([]) == KeySet()
+
     def test_incremental_promotion_and_demotion_round_trip(self):
         keyset = KeySet()
         for i in range(SPARSE_MAX + 1):

@@ -58,6 +58,80 @@ class TestVerticalColumn:
         assert sorted(column.range(high=datetime(2005, 6, 15))) == ["d"]
 
 
+class TestRangeAgainstBruteForce:
+    """``range`` bisects both ends and slices; a filter over every
+    entry is the specification."""
+
+    #: duplicates in every type group: numbers (int, float, bool, a
+    #: date), text, and values that fall back to their repr
+    VALUES = [5, 5, 5.0, 7, -1, 2.5, True, date(1970, 1, 1),
+              "", "a", "a", "b", "ab",
+              (1, 2), (1, 2), frozenset(), b"x"]
+    BOUNDS = [None, -2, 5, 5.0, 6, 100, False, "", "a", "aa", "z",
+              (1, 2), b"a"]
+
+    @staticmethod
+    def _expected(column, low, high, include_low, include_high):
+        from repro.tupleindex.vertical import _sort_key
+        low_key = _sort_key(low) if low is not None else None
+        high_key = _sort_key(high) if high is not None else None
+        anchor = low_key if low_key is not None else high_key
+        out = []
+        for value, key in column.values():
+            sort_key = _sort_key(value)
+            if anchor is not None and sort_key[0] != anchor[0]:
+                continue  # one type group only: the anchor bound's
+            if low_key is not None and (
+                    sort_key < low_key
+                    or (sort_key == low_key and not include_low)):
+                continue
+            if high_key is not None and (
+                    sort_key > high_key
+                    or (sort_key == high_key and not include_high)):
+                continue
+            out.append(key)
+        return out
+
+    def test_every_bound_combination(self):
+        column = VerticalColumn("v")
+        for position, value in enumerate(self.VALUES):
+            column.insert(position, value)
+        checked = 0
+        for low in self.BOUNDS:
+            for high in self.BOUNDS:
+                for include_low in (True, False):
+                    for include_high in (True, False):
+                        got = column.range(low, high,
+                                           include_low=include_low,
+                                           include_high=include_high)
+                        assert got == self._expected(
+                            column, low, high, include_low, include_high
+                        ), (low, high, include_low, include_high)
+                        checked += 1
+        assert checked == len(self.BOUNDS) ** 2 * 4
+        assert len(column.range()) == len(self.VALUES)
+
+    def test_range_survives_entries_deleted_under_it(self):
+        """``refresh()`` deleting column entries while a range scan is
+        in flight used to end in an ``IndexError`` (found by the perf
+        ledger's mixed read/write workload): the scan walked the column
+        by index and re-derived the upper bound's sort key inside the
+        loop. Reproduced without threads: a bound whose ``__float__``
+        — called wherever its sort key is computed — removes an entry,
+        as a writer on another thread would at that very moment."""
+        column = VerticalColumn("size")
+        for key, value in enumerate([10, 20, 30, 40]):
+            column.insert(key, value)
+
+        class ShrinkingBound(int):
+            def __float__(self):
+                column.remove(3, 40)  # a no-op after the first call
+                return float(int(self))
+
+        assert column.range(low=10, high=ShrinkingBound(100)) == [0, 1, 2]
+        assert len(column) == 3
+
+
 class TestTupleIndex:
     @pytest.fixture()
     def index(self):
