@@ -1,14 +1,8 @@
-"""Benchmarks for the post-paper extensions.
+"""Benchmark for the replication-policy extension.
 
-1. **Expansion strategies** — forward (the 2006 prototype) vs backward
-   vs auto/bidirectional [30] on Q8-like navigation: the paper
-   explicitly plans "backward or bidirectional expansion" to cut Q8's
-   intermediate results; these benches quantify the win.
-2. **Rule vs cost-based optimization** — the paper's future-work
-   optimizer against the shipped rule-based one.
-3. **Replication policy** — full indexing vs the minimal (query
-   shipping) policy: same answers, different index footprint and query
-   latency (the data-vs-query-shipping trade-off of Section 5.2).
+Full indexing vs the minimal (query shipping) policy: same answers,
+different index footprint and query latency (the data-vs-query-shipping
+trade-off of Section 5.2).
 """
 
 import pytest
@@ -16,65 +10,8 @@ import pytest
 from repro.bench import PAPER_QUERIES
 from repro.facade import Dataspace
 from repro.imapsim.latency import no_latency
-from repro.query import QueryProcessor
 from repro.rvm import IndexingPolicy
 from .conftest import BENCH_SCALE, BENCH_SEED
-
-#: A navigation-heavy query (Q8's B side) where strategy matters.
-NAV_QUERY = '//papers//*[class="texref"]'
-
-
-@pytest.fixture(scope="module")
-def shared_rvm(harness):
-    return harness.dataspace.rvm
-
-
-class TestExpansionStrategies:
-    def test_strategies_equivalent(self, shared_rvm):
-        results = {
-            strategy: set(
-                QueryProcessor(shared_rvm, expansion=strategy)
-                .execute(NAV_QUERY).uris()
-            )
-            for strategy in ("forward", "backward", "auto")
-        }
-        assert results["forward"] == results["backward"] == results["auto"]
-
-    def test_backward_cuts_intermediate_results(self, shared_rvm):
-        forward = QueryProcessor(shared_rvm,
-                                 expansion="forward").execute(NAV_QUERY)
-        backward = QueryProcessor(shared_rvm,
-                                  expansion="backward").execute(NAV_QUERY)
-        print(f"\nintermediate views: forward={forward.expanded_views} "
-              f"backward={backward.expanded_views}")
-        assert backward.expanded_views < forward.expanded_views
-
-    @pytest.mark.parametrize("strategy", ["forward", "backward", "auto"])
-    def test_expansion_speed(self, shared_rvm, benchmark, strategy):
-        processor = QueryProcessor(shared_rvm, expansion=strategy)
-        result = benchmark(processor.execute, NAV_QUERY)
-        assert len(result) > 0
-
-    @pytest.mark.parametrize("strategy", ["forward", "auto"])
-    def test_q8_speed_by_strategy(self, shared_rvm, benchmark, strategy):
-        processor = QueryProcessor(shared_rvm, expansion=strategy)
-        result = benchmark(processor.execute, PAPER_QUERIES["Q8"])
-        assert len(result) > 0
-
-
-class TestOptimizerModes:
-    ADVERSARIAL = '[class="latex_text" and "database tuning"]'
-
-    def test_modes_equivalent(self, shared_rvm):
-        rule = QueryProcessor(shared_rvm, optimizer="rule")
-        cost = QueryProcessor(shared_rvm, optimizer="cost")
-        assert set(rule.execute(self.ADVERSARIAL).uris()) == \
-            set(cost.execute(self.ADVERSARIAL).uris())
-
-    @pytest.mark.parametrize("mode", ["rule", "cost"])
-    def test_optimizer_speed(self, shared_rvm, benchmark, mode):
-        processor = QueryProcessor(shared_rvm, optimizer=mode)
-        benchmark(processor.execute, self.ADVERSARIAL)
 
 
 class TestReplicationPolicy:

@@ -22,9 +22,8 @@ The package mirrors the iMeMex PDSMS architecture:
   (federated networks of instances), :mod:`repro.mediaindex`
   (histogram similarity for non-text content), :mod:`repro.apps`
   (reference reconciliation, clustering), :mod:`repro.cli`
-  (``python -m repro``), plus ranking, standing queries, cost-based
-  optimization, backward expansion and snapshots inside
-  :mod:`repro.query` / :mod:`repro.rvm`.
+  (``python -m repro``), plus ranking, standing queries and snapshots
+  inside :mod:`repro.query` / :mod:`repro.rvm`.
 
 Quickstart::
 

@@ -38,9 +38,7 @@ class Dataspace:
                  imap: ImapServer | None = None,
                  feeds: FeedServer | None = None,
                  reference_datetime: datetime | None = None,
-                 policy=None, optimizer: str = "rule",
-                 expansion: str = "forward",
-                 resilience=None, durability=None):
+                 policy=None, resilience=None, durability=None):
         self.vfs = vfs
         self.imap = imap
         self.feeds = feeds
@@ -75,9 +73,7 @@ class Dataspace:
         if feeds is not None:
             self.rvm.register_plugin(RssPlugin(feeds))
         self.processor = QueryProcessor(
-            self.rvm, reference_datetime=reference_datetime,
-            optimizer=optimizer, expansion=expansion,
-        )
+            self.rvm, reference_datetime=reference_datetime)
         self._synced = False
         self.last_sync_report: SyncReport | None = None
         self.last_recovery = None
@@ -98,8 +94,8 @@ class Dataspace:
                  **kwargs) -> "Dataspace":
         """A synthetic dataspace from a profile (or a paper-scale factor).
 
-        Extra keyword arguments (``policy``, ``optimizer``,
-        ``expansion``) pass through to the constructor.
+        Extra keyword arguments (``policy``, ``resilience``,
+        ``durability``) pass through to the constructor.
         """
         if profile is None:
             profile = scaled_profile(scale if scale is not None else 0.02)

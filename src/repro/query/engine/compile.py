@@ -107,7 +107,7 @@ def _physical(node: PlanNode, ctx, ordered: bool) -> Operator:
         candidates = (_compile(node.candidates, ctx, False)
                       if node.candidates is not None else None)
         return ExpandOperator(_compile(node.input, ctx, False), candidates,
-                              node.axis, node.strategy)
+                              node.axis)
     if isinstance(node, Limit):
         return LimitOp(_compile(node.part, ctx, ordered), node.count)
     raise QueryExecutionError(

@@ -561,31 +561,27 @@ class TopKOperator(Operator):
 class ExpandOperator(Operator):
     """Path-step navigation re-seated on the batch protocol.
 
-    Forward expansion is *pipelined* and *frontier-at-a-time*: each
+    Expansion is forward, *pipelined* and *frontier-at-a-time*: each
     input batch seeds a level-synchronous multi-source BFS
     (:meth:`_walk`) that gathers the children of a whole frontier in
     one substrate call and dedupes them against the shared reached-set
     with set algebra; every level's discoveries stream out before the
     next input batch is pulled. The reached/processed sets double as
     the cycle guard (a group cycle terminates because no view is
-    expanded twice). Backward and bidirectional strategies need both
-    frontiers materialized and emit their result sorted.
+    expanded twice).
 
     The walk's nodes are catalog ids: sort keys convert once at the
     input edge (``view.id_for_key``) and each emitted set binds back
     once (``view.keys_for_ids``). Where the edges come from — the group
     replica, or live views when it is not kept — is the execution
-    context's business (``children_ids_of_many`` / ``parent_ids_of``).
+    context's business (``children_ids_of_many``).
     """
 
     def __init__(self, input_op: Operator, candidates_op: Operator | None,
-                 axis: Axis, strategy: str):
+                 axis: Axis):
         self.input_op = input_op
         self.candidates_op = candidates_op
         self.axis = axis
-        self.strategy = strategy
-        self.ordered = (strategy in ("backward", "auto")
-                        and candidates_op is not None)
         self._batches: Iterator[Batch] | None = None
         self._ctx = None
 
@@ -599,15 +595,9 @@ class ExpandOperator(Operator):
     def next_batch(self) -> Batch | None:
         if self._batches is None:
             ctx = self._ctx
-            view = ctx.dict_view
-            size = ctx.engine.batch_size
-            if self.ordered:
-                self._batches = chunked(
-                    view.keys_for_ids(self._materialized()), size,
-                    ordered=True, view=view)
-            else:
-                self._batches = chunked_stream(self._forward_stream(), size,
-                                               view=view)
+            self._batches = chunked_stream(self._forward_stream(),
+                                           ctx.engine.batch_size,
+                                           view=ctx.dict_view)
         return next(self._batches, None)
 
     def close(self) -> None:
@@ -666,44 +656,3 @@ class ExpandOperator(Operator):
             hits = new if candidates is None else new & candidates
             if hits:
                 yield from keys_for_ids(hits)
-
-    # -- materialized strategies (backward / bidirectional) ----------------
-
-    def _materialized(self) -> set:
-        """Both frontiers materialized as node sets; the caller binds
-        the answer back to sorted keys."""
-        sources = set(self._nodes(drain(self.input_op)))
-        candidates = set(self._nodes(drain(self.candidates_op)))
-        if self.strategy == "backward" or len(candidates) < len(sources):
-            return self._backward(sources, candidates)
-        reached = set().union(*self._walk([sources]))
-        return reached & candidates
-
-    def _backward(self, sources: set, candidates: set) -> set:
-        ctx = self._ctx
-        parents_of = ctx.parent_ids_of
-        out: set = set()
-        if self.axis is Axis.CHILD:
-            for node in candidates:
-                parents = parents_of(node)
-                ctx.expanded_views += len(parents)
-                if not sources.isdisjoint(parents):
-                    out.add(node)
-            return out
-        for node in candidates:
-            # BFS up the reverse edges, early-exiting on the first source
-            seen: set = set()
-            frontier = [node]
-            hit = False
-            while frontier and not hit:
-                for parent in parents_of(frontier.pop()):
-                    if parent in sources:
-                        hit = True
-                        break
-                    if parent not in seen:
-                        seen.add(parent)
-                        frontier.append(parent)
-            ctx.expanded_views += len(seen)
-            if hit:
-                out.add(node)
-        return out

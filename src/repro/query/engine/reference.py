@@ -10,8 +10,8 @@ the streaming engine and the old semantics agree exactly.
 It is the one place URI strings are the working representation: leaf
 answers arrive from the execution context as catalog ids and are
 turned into strings right here (:func:`_uris`), the universe is read
-off the catalog, and navigation uses the context's two URI-typed
-primitives, ``children_of`` / ``parents_of``.
+off the catalog, and navigation uses the context's URI-typed
+primitive, ``children_of``.
 
 A wildcard name test is the exception among the leaves: the engine
 answers it from the catalog's ordered name dictionary, so the oracle
@@ -85,7 +85,7 @@ def reference_execute(node: PlanNode, ctx) -> set[str]:
         return (set(ctx.rvm.catalog.all_uris())
                 - reference_execute(node.part, ctx))
     if isinstance(node, ExpandStep):
-        return _reference_expand(node, ctx)
+        return _forward(node, ctx, reference_execute(node.input, ctx))
     if isinstance(node, Limit):
         # LIMIT has no set-semantics counterpart beyond the subset
         # property; the oracle returns the unlimited result and the
@@ -107,16 +107,6 @@ def _name_pattern(pattern: str, ctx) -> set[str]:
                 for record in ctx.rvm.catalog.all_records() if record.name)
     regex = wildcard_regex(pattern)
     return {uri for uri, name in rows if regex.match(name)}
-
-
-def _reference_expand(node: ExpandStep, ctx) -> set[str]:
-    sources = reference_execute(node.input, ctx)
-    if node.strategy == "forward" or node.candidates is None:
-        return _forward(node, ctx, sources)
-    candidates = reference_execute(node.candidates, ctx)
-    if node.strategy == "backward" or len(candidates) < len(sources):
-        return _backward(node, ctx, sources, candidates)
-    return _forward(node, ctx, sources, candidates)
 
 
 def _forward(node: ExpandStep, ctx, sources: set[str],
@@ -144,32 +134,3 @@ def _forward(node: ExpandStep, ctx, sources: set[str],
     if node.candidates is None:
         return reached
     return reached & reference_execute(node.candidates, ctx)
-
-
-def _backward(node: ExpandStep, ctx, sources: set[str],
-              candidates: set[str]) -> set[str]:
-    out: set[str] = set()
-    if node.axis is Axis.CHILD:
-        for uri in candidates:
-            parents = ctx.parents_of(uri)
-            ctx.expanded_views += len(parents)
-            if parents & sources:
-                out.add(uri)
-        return out
-    for uri in candidates:
-        seen: set[str] = set()
-        frontier = [uri]
-        hit = False
-        while frontier and not hit:
-            current = frontier.pop()
-            for parent in ctx.parents_of(current):
-                if parent in sources:
-                    hit = True
-                    break
-                if parent not in seen:
-                    seen.add(parent)
-                    frontier.append(parent)
-        ctx.expanded_views += len(seen)
-        if hit:
-            out.add(uri)
-    return out

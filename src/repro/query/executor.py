@@ -345,10 +345,6 @@ class ExecutionContext:
 
     # -- group navigation (replica or live fallback) -------------------------
 
-    def children_ids_of(self, view_id: int) -> tuple[int, ...]:
-        """Directly related catalog ids of one view."""
-        return tuple(self.children_ids_of_many((view_id,)))
-
     def children_ids_of_many(self, frontier) -> list[int]:
         """The child ids of a whole frontier in one list (duplicates
         kept): counted per node, checkpointed once per
@@ -374,21 +370,6 @@ class ExecutionContext:
             found += gather(nodes[start:start + size])
         return found
 
-    def _reverse_edges(self):
-        """The group replica, for a backward step — only it keeps the
-        reverse edges."""
-        self.count("ctx.parents_of")
-        if not self.rvm.indexes.policy.replicate_groups:
-            raise QueryExecutionError(
-                "backward expansion needs the group replica's reverse "
-                "edges; enable replicate_groups or use forward expansion"
-            )
-        return self.group_replica
-
-    def parent_ids_of(self, view_id: int):
-        """Reverse-edge catalog ids, read-only."""
-        return self._reverse_edges().parent_ids_view(view_id)
-
     def children_of(self, uri: str) -> tuple[str, ...]:
         self.checkpoint()
         self.count("ctx.children_of")
@@ -406,9 +387,6 @@ class ExecutionContext:
                          views_unavailable=1)
             return ()
         return tuple(v.view_id.uri for v in members)
-
-    def parents_of(self, uri: str) -> set[str]:
-        return self._reverse_edges().parents(uri)
 
     def class_lookup_ids(self, class_name: str) -> KeySet:
         self.checkpoint()
@@ -642,11 +620,9 @@ class StreamingResult:
 class PreparedQuery:
     """A parsed query, reusable across executions.
 
-    The serving layer's plan cache stores these: parsing (and, under the
-    rule optimizer, planning) happens once per distinct query text. The
-    ``plan`` slot memoizes the physical plan when it is
-    context-independent — rule-mode, non-join queries; cost-mode plans
-    depend on live index statistics and are rebuilt per execution.
+    The serving layer's plan cache stores these: parsing and planning
+    happen once per distinct query text. The ``plan`` slot memoizes the
+    optimized physical plan, which depends on the query alone.
     """
 
     text: str
@@ -665,42 +641,14 @@ class PreparedQuery:
 class QueryProcessor:
     """Parses, plans, optimizes and executes iQL queries over one RVM.
 
-    ``optimizer`` selects plan refinement: ``"rule"`` is the 2006
-    prototype's rule-based pass; ``"cost"`` additionally reorders
-    intersections by live index statistics (the paper's future work).
-    ``expansion`` selects the path-navigation strategy per [30]:
-    ``"forward"`` (the prototype), ``"backward"``, or ``"auto"``
-    (bidirectional heuristic).
+    Planning is the 2006 prototype's: the rule-based optimizer pass and
+    forward expansion of path steps.
     """
 
     def __init__(self, rvm: ResourceViewManager, *,
-                 reference_datetime: datetime | None = None,
-                 optimizer: str = "rule",
-                 expansion: str = "forward"):
-        if optimizer not in ("rule", "cost"):
-            raise QueryExecutionError(f"unknown optimizer {optimizer!r}")
-        if expansion not in ("forward", "backward", "auto"):
-            raise QueryExecutionError(f"unknown expansion {expansion!r}")
+                 reference_datetime: datetime | None = None):
         self.rvm = rvm
         self.functions = FunctionTable(reference_datetime)
-        self.optimizer_mode = optimizer
-        self.expansion = expansion
-
-    def _optimize(self, plan: PlanNode,
-                  ctx: ExecutionContext | None = None,
-                  trace=None) -> PlanNode:
-        if self.optimizer_mode == "cost":
-            from .optimizer import optimize_with_statistics
-            context = ctx if ctx is not None else ExecutionContext(
-                self.rvm, self.functions
-            )
-            if trace is not None:
-                # planning-time estimates must not pollute work counters
-                with trace.paused():
-                    return optimize_with_statistics(plan, context,
-                                                    trace=trace)
-            return optimize_with_statistics(plan, context, trace=trace)
-        return optimize(plan, trace=trace)
 
     # -- public API -----------------------------------------------------------
 
@@ -906,32 +854,28 @@ class QueryProcessor:
         """The (memoized) optimized plan, wrapped with ``Limit`` when
         requested. The limit wrap happens after memoization — the cached
         plan stays limit-free, and the extra rule pass (limit pushdown)
-        is idempotent over the already-optimized tree."""
+        is idempotent over the already-optimized tree. Planning reads no
+        ``ctx``; the parameter stays for the perf ledger's probes."""
         plan = prepared.plan
         if plan is None:
-            plan = self._optimize(self._build(prepared.ast), ctx,
-                                  trace=trace)
-            if self.optimizer_mode == "rule":
-                prepared.plan = plan
+            plan = prepared.plan = optimize(self._build(prepared.ast),
+                                            trace=trace)
         if limit is not None:
             plan = optimize(Limit(part=plan, count=limit), trace=trace)
         return plan
 
     def _prepared_join(self, prepared: PreparedQuery,
                        ctx: ExecutionContext, trace=None) -> JoinPlan:
-        if isinstance(prepared.plan, JoinPlan):
-            return prepared.plan
-        plan = self._build_join(prepared.ast, ctx, trace=trace)
-        if self.optimizer_mode == "rule":
-            prepared.plan = plan
-        return plan
+        if prepared.plan is None:
+            prepared.plan = self._build_join(prepared.ast, trace=trace)
+        return prepared.plan
 
     def explain(self, query_text: str) -> str:
         """The optimized physical plan, without executing it."""
         ast = parse_iql(query_text)
         if isinstance(ast, JoinExpr):
             return self._build_join(ast).explain()
-        return self._optimize(self._build(ast)).explain()
+        return optimize(self._build(ast)).explain()
 
     def explain_analyze(self, query_text: str, *, cancel_token=None):
         """Execute the query under a fresh trace and return an
@@ -978,7 +922,6 @@ class QueryProcessor:
             plan = ExpandStep(
                 input=plan, axis=step.axis,
                 candidates=self._step_filter(step),
-                strategy=self.expansion,
             )
         return plan
 
@@ -1057,11 +1000,9 @@ class QueryProcessor:
             "qualified references are only valid in join conditions"
         )
 
-    def _build_join(self, join: JoinExpr,
-                    ctx: ExecutionContext | None = None,
-                    trace=None) -> JoinPlan:
-        left_plan = self._optimize(self._build(join.left), ctx, trace=trace)
-        right_plan = self._optimize(self._build(join.right), ctx, trace=trace)
+    def _build_join(self, join: JoinExpr, trace=None) -> JoinPlan:
+        left_plan = optimize(self._build(join.left), trace=trace)
+        right_plan = optimize(self._build(join.right), trace=trace)
         condition = join.condition
         # Normalize so left_ref refers to the left variable.
         left_ref: object = condition.left

@@ -91,7 +91,7 @@ def _rewrite(node: PlanNode, trace=None) -> PlanNode:
                     "ExpandStep candidates AllViews -> (none)")
             candidates = None
         return ExpandStep(input=_rewrite(node.input, trace), axis=node.axis,
-                          candidates=candidates, strategy=node.strategy)
+                          candidates=candidates)
     if isinstance(node, Limit):
         return _limit(_rewrite(node.part, trace), node.count, trace)
     return node
@@ -116,45 +116,6 @@ def _limit(part: PlanNode, count: int, trace=None) -> PlanNode:
                     f"{len(part.parts)} union branches")
         return Limit(part=Union(capped), count=count)
     return Limit(part=part, count=count)
-
-
-def optimize_with_statistics(plan: PlanNode, ctx, trace=None) -> PlanNode:
-    """Cost-based refinement (the paper's "avenue of future work").
-
-    After the rule pass, intersection inputs are re-ordered by *actual*
-    estimated cardinalities pulled from the live indexes — document
-    frequencies, catalog class counts, attribute column sizes — instead
-    of the static cost classes. A very common class test then correctly
-    runs after a rare keyword, which the rule optimizer gets wrong.
-    """
-    plan = _rewrite(plan, trace)
-    return _reorder_by_estimates(plan, ctx, trace)
-
-
-def _reorder_by_estimates(node: PlanNode, ctx, trace=None) -> PlanNode:
-    if isinstance(node, Intersect):
-        parts = [_reorder_by_estimates(p, ctx, trace) for p in node.parts]
-        ordered = sorted(parts, key=lambda p: p.estimate(ctx))
-        if ordered != parts:
-            _record(trace, "reorder-by-estimate",
-                    f"{_describe_parts(parts)} -> "
-                    f"{_describe_parts(ordered)}")
-        return Intersect(tuple(ordered))
-    if isinstance(node, Union):
-        return Union(tuple(_reorder_by_estimates(p, ctx, trace)
-                           for p in node.parts))
-    if isinstance(node, Complement):
-        return Complement(_reorder_by_estimates(node.part, ctx, trace))
-    if isinstance(node, ExpandStep):
-        candidates = (_reorder_by_estimates(node.candidates, ctx, trace)
-                      if node.candidates is not None else None)
-        return ExpandStep(input=_reorder_by_estimates(node.input, ctx, trace),
-                          axis=node.axis, candidates=candidates,
-                          strategy=node.strategy)
-    if isinstance(node, Limit):
-        return Limit(part=_reorder_by_estimates(node.part, ctx, trace),
-                     count=node.count)
-    return node
 
 
 def _flatten_intersect(parts: list[PlanNode], trace=None) -> list[PlanNode]:

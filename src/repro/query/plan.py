@@ -68,10 +68,10 @@ class PlanNode:
     COST = 5
 
     def estimate(self, ctx: "ExecutionContext") -> int:
-        """Estimated result cardinality (for cost-based ordering and
-        the analyze output's estimate-vs-actual column). Every concrete
-        node overrides this with its honest best guess; the base default
-        is the whole dataspace."""
+        """Estimated result cardinality (for the analyze output's
+        estimate-vs-actual column). Every concrete node overrides this
+        with its honest best guess; the base default is the whole
+        dataspace."""
         return len(ctx.rvm.catalog)
 
     def explain(self, indent: int = 0) -> str:
@@ -274,22 +274,14 @@ class ExpandStep(PlanNode):
     and predicate — navigation never touches data sources ("queries
     referring to the group component ... exploit the replicas only").
 
-    Three strategies, after [30] (Kacholia et al.), which the paper
-    names as the planned fix for Q8's forward-expansion cost:
-
-    * ``forward`` — the 2006 prototype's strategy: multi-source BFS from
-      the input set, intersect with the candidates; the engine runs it
-      *pipelined*, streaming discoveries as they are made;
-    * ``backward`` — start from the (index-computed) candidates and walk
-      *up* the reverse edges until an input is met;
-    * ``auto`` (bidirectional heuristic) — materialize both sides and
-      expand from the smaller frontier.
+    Expansion is the 2006 prototype's forward strategy: multi-source
+    BFS from the input set, intersected with the candidates; the engine
+    runs it *pipelined*, streaming discoveries as they are made.
     """
 
     input: PlanNode = field(default_factory=AllViews)
     axis: Axis = Axis.DESCENDANT
     candidates: PlanNode | None = None
-    strategy: str = "forward"  # forward | backward | auto
     COST = 5
 
     def estimate(self, ctx: "ExecutionContext") -> int:
@@ -301,14 +293,11 @@ class ExpandStep(PlanNode):
         return ctx.expand_estimate(self.input.estimate(ctx), self.axis)
 
     def describe(self) -> str:
-        return (f"ExpandStep(axis={self.axis.value}, "
-                f"strategy={self.strategy})")
+        return f"ExpandStep(axis={self.axis.value})"
 
     def explain(self, indent: int = 0) -> str:
         pad = "  " * indent
-        lines = [f"{pad}ExpandStep(axis={self.axis.value}, "
-                 f"strategy={self.strategy})",
-                 self.input.explain(indent + 1)]
+        lines = [f"{pad}{self.describe()}", self.input.explain(indent + 1)]
         if self.candidates is not None:
             lines.append(f"{pad}  candidates:")
             lines.append(self.candidates.explain(indent + 2))

@@ -9,13 +9,10 @@ exploiting the replicas only", avoiding lookups at the data source.
 URIs are dictionary-encoded through the process-wide URI dictionary, so
 a node here carries the same dense **catalog id** as the same view in
 the catalog keysets and the inverted index (the keyset refactor,
-DESIGN.md §4j — the replica's private OID space is gone). A replica
-edge costs 8 bytes, which is how the paper's group replica stays the
-smallest structure of Table 3 at 3.5 MB. Reverse edges are kept too:
-the prototype's forward expansion only needs the forward direction, but
-the paper's future-work backward/bidirectional expansion [30] needs
-parents, and so do our ablation benchmarks. Parent sets are compressed
-:class:`~repro.rvm.keyset.KeySet` s.
+DESIGN.md §4j — the replica's private OID space is gone). Only forward
+edges are kept — the prototype's forward expansion reads nothing else —
+so a node costs 16 bytes and an edge 8, which is how the replica is,
+as in the paper (3.5 of 172.5 MB), the smallest structure of Table 3.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ class GroupReplica:
         self._dictionary = global_uri_dictionary()
         self._set_children: dict[int, tuple[int, ...]] = {}
         self._seq_children: dict[int, tuple[int, ...]] = {}
-        self._parents: dict[int, KeySet] = {}
 
     # -- interning ---------------------------------------------------------------
 
@@ -61,26 +57,15 @@ class GroupReplica:
                     else group.set_part.take(self.infinite_window))
         seq_part = (group.seq_part.items() if group.seq_part.is_finite
                     else group.seq_part.take(self.infinite_window))
-        set_oids = tuple(intern(v.view_id.uri) for v in set_part)
-        seq_oids = tuple(intern(v.view_id.uri) for v in seq_part)
-        self._set_children[oid] = set_oids
-        self._seq_children[oid] = seq_oids
-        for child in set_oids + seq_oids:
-            parents = self._parents.get(child)
-            if parents is None:
-                parents = self._parents[child] = KeySet()
-            parents.add(oid)
+        self._set_children[oid] = tuple(
+            intern(v.view_id.uri) for v in set_part)
+        self._seq_children[oid] = tuple(
+            intern(v.view_id.uri) for v in seq_part)
 
     def remove(self, view_id: ViewId | str) -> bool:
         oid = self._oid(view_id)
         if oid is None or oid not in self._set_children:
             return False
-        for child in self._set_children[oid] + self._seq_children[oid]:
-            parents = self._parents.get(child)
-            if parents is not None:
-                parents.discard(oid)
-                if not parents:
-                    del self._parents[child]
         del self._set_children[oid]
         del self._seq_children[oid]
         return True
@@ -113,11 +98,6 @@ class GroupReplica:
             *chain.from_iterable(map(self._set_children.get, oids, nothing)),
             *chain.from_iterable(map(self._seq_children.get, oids, nothing)),
         ]
-
-    def parent_ids_view(self, oid: int) -> Collection[int]:
-        """The stored reverse-edge set itself, not a copy: read-only,
-        for walks that only iterate and measure it."""
-        return self._parents.get(oid, ())
 
     def descendant_ids(self, oid: int, *,
                        max_depth: int | None = None) -> KeySet:
@@ -153,13 +133,6 @@ class GroupReplica:
         uri_of = self._dictionary.uri_of
         return tuple(uri_of(o) for o in self._seq_children.get(oid, ()))
 
-    def parents(self, view_id: ViewId | str) -> set[str]:
-        oid = self._oid(view_id)
-        if oid is None:
-            return set()
-        uri_of = self._dictionary.uri_of
-        return {uri_of(o) for o in self._parents.get(oid, ())}
-
     def descendants(self, view_id: ViewId | str, *,
                     max_depth: int | None = None) -> set[str]:
         """Forward expansion over the replica (no data-source access)."""
@@ -169,21 +142,6 @@ class GroupReplica:
         # `start` stays in the result only when an edge leads back to it
         # (a view on a cycle is indirectly related to itself).
         seen = self.descendant_ids(start, max_depth=max_depth)
-        uri_of = self._dictionary.uri_of
-        return {uri_of(o) for o in seen}
-
-    def ancestors(self, view_id: ViewId | str) -> set[str]:
-        """Backward expansion (extension beyond the 2006 prototype)."""
-        start = self._oid(view_id)
-        if start is None:
-            return set()
-        seen = KeySet()
-        frontier = [start]
-        while frontier:
-            oid = frontier.pop()
-            for parent in self._parents.get(oid, ()):
-                if seen.add(parent):
-                    frontier.append(parent)
         uri_of = self._dictionary.uri_of
         return {uri_of(o) for o in seen}
 
@@ -204,10 +162,6 @@ class GroupReplica:
         The URI↔id dictionary is the catalog's (every URI here is also
         registered there), so it is not double-counted; this mirrors how
         the prototype's group replica stays the smallest structure in
-        the paper's Table 3. Reverse edges are compressed keysets and
-        report their actual layout.
+        the paper's Table 3.
         """
-        nodes = 16 * len(self._set_children)
-        edges = 8 * self.edge_count()
-        reverse = sum(p.size_bytes() for p in self._parents.values())
-        return nodes + edges + reverse
+        return 16 * len(self._set_children) + 8 * self.edge_count()

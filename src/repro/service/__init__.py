@@ -23,7 +23,7 @@ from ..obs.metrics import (
     MetricsRegistry,
 )
 from .admission import AdmissionController, CancellationToken
-from .cache import LRUCache, PlanCache, QueryKey, ResultCache
+from .cache import LRUCache, PlanCache, ResultCache
 from .server import DataspaceService, QueryTicket, Session
 from .workload import WorkloadReport, run_closed_loop
 
@@ -31,7 +31,7 @@ __all__ = [
     "AdmissionController", "CancellationToken", "Counter",
     "DataspaceService", "DeadlineExceeded", "Histogram",
     "HistogramSnapshot", "LRUCache", "MetricsRegistry", "Overloaded",
-    "PlanCache", "QueryCancelled", "QueryKey", "QueryTicket", "ResultCache",
+    "PlanCache", "QueryCancelled", "QueryTicket", "ResultCache",
     "ServiceClosed", "ServiceError", "Session", "WorkloadReport",
     "run_closed_loop",
 ]

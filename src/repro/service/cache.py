@@ -2,10 +2,10 @@
 
 Two LRU caches sit in front of the query processor:
 
-* the **plan cache** maps ``(iQL text, optimizer mode, expansion)`` to a
+* the **plan cache** maps iQL text to a
   :class:`~repro.query.executor.PreparedQuery`, so each distinct query
-  text is parsed (and, under the rule optimizer, planned) once;
-* the **result cache** maps the same key to a finished
+  text is parsed and planned once;
+* the **result cache** maps the same text to a finished
   :class:`~repro.query.QueryResult` — which, since the batched engine,
   carries the execution's materialized :class:`~repro.query.engine.Batch`
   sequence, so a cache hit can replay the result as a stream without
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..pushops import PushBus
@@ -96,39 +95,22 @@ class LRUCache:
             return list(self._entries.keys())
 
 
-@dataclass(frozen=True)
-class QueryKey:
-    """Cache key: query text plus everything that shapes its plan."""
-
-    text: str
-    optimizer: str
-    expansion: str
-
-
 class PlanCache:
-    """LRU of :class:`PreparedQuery` objects, keyed by :class:`QueryKey`.
+    """LRU of :class:`PreparedQuery` objects, keyed by query text — the
+    one thing that shapes a plan.
 
     Parsed plans survive data changes — a plan names indexes, not index
-    *contents* — so no invalidation hook is needed for the rule
-    optimizer. (Cost-mode plans are not memoized inside
-    ``PreparedQuery`` in the first place; see the executor.)
+    *contents* — so no invalidation hook is needed.
     """
 
     def __init__(self, capacity: int = 128):
         self._lru = LRUCache(capacity)
 
-    def get(self, key: QueryKey):
-        return self._lru.get(key)
+    def get(self, text: str):
+        return self._lru.get(text)
 
-    def put(self, key: QueryKey, prepared) -> None:
-        self._lru.put(key, prepared)
-
-    def get_or_prepare(self, key: QueryKey, prepare: Callable[[str], Any]):
-        prepared = self._lru.get(key)
-        if prepared is None:
-            prepared = prepare(key.text)
-            self._lru.put(key, prepared)
-        return prepared
+    def put(self, text: str, prepared) -> None:
+        self._lru.put(text, prepared)
 
     @property
     def hits(self) -> int:
@@ -178,11 +160,11 @@ class ResultCache:
 
     # -- cache protocol ------------------------------------------------------
 
-    def get(self, key: QueryKey):
-        return self._lru.get(key, min_epoch=self.epoch)
+    def get(self, text: str):
+        return self._lru.get(text, min_epoch=self.epoch)
 
-    def put(self, key: QueryKey, result, *, epoch: int | None = None) -> None:
-        self._lru.put(key, result,
+    def put(self, text: str, result, *, epoch: int | None = None) -> None:
+        self._lru.put(text, result,
                       epoch=self.epoch if epoch is None else epoch)
 
     def clear(self) -> int:

@@ -38,7 +38,7 @@ from ..core.errors import (
 )
 from ..query import QueryResult
 from .admission import AdmissionController, CancellationToken
-from .cache import PlanCache, QueryKey, ResultCache
+from .cache import PlanCache, ResultCache
 from ..obs.metrics import MetricsRegistry
 
 
@@ -103,7 +103,6 @@ class _Request:
     """One admitted query, queued for a worker."""
 
     ticket: QueryTicket
-    key: QueryKey
     use_cache: bool
     enqueued_at: float
     deadline: float | None
@@ -338,11 +337,9 @@ class DataspaceService:
             tenant = session.tenant
         self._count("queries.submitted", tenant=tenant)
         ticket = QueryTicket(iql, session=session, tenant=tenant)
-        key = QueryKey(text=iql, optimizer=self.processor.optimizer_mode,
-                       expansion=self.processor.expansion)
         use_cache = use_cache and self.cache_results
         if use_cache:
-            cached = self.result_cache.get(key)
+            cached = self.result_cache.get(iql)
             if cached is not None:
                 self._count("cache.result.hits")
                 self._count("queries.served", tenant=tenant)
@@ -356,7 +353,7 @@ class DataspaceService:
         absolute = (time.monotonic() + deadline
                     if deadline is not None else None)
         ticket.token.deadline = absolute
-        request = _Request(ticket=ticket, key=key, use_cache=use_cache,
+        request = _Request(ticket=ticket, use_cache=use_cache,
                            enqueued_at=time.monotonic(), deadline=absolute)
         with self._state_lock:
             self._outstanding += 1
@@ -416,16 +413,16 @@ class DataspaceService:
             self._count_failure(error, tenant=ticket.tenant)
             ticket._fail(error)
             return
-        prepared = self.plan_cache.get(request.key)
+        prepared = self.plan_cache.get(ticket.iql)
         if prepared is None:
             self._count("cache.plan.misses")
             try:
-                prepared = self.processor.prepare(request.key.text)
+                prepared = self.processor.prepare(ticket.iql)
             except IdmError as error:
                 self._count("queries.failed")
                 ticket._fail(error)
                 return
-            self.plan_cache.put(request.key, prepared)
+            self.plan_cache.put(ticket.iql, prepared)
         else:
             self._count("cache.plan.hits")
         epoch = self.result_cache.epoch
@@ -459,7 +456,7 @@ class DataspaceService:
             # degraded result as if it were complete
             self._count("queries.degraded")
         elif request.use_cache:
-            self.result_cache.put(request.key, result, epoch=epoch)
+            self.result_cache.put(ticket.iql, result, epoch=epoch)
         ticket._resolve(result)
 
     def _fold_trace(self, trace) -> None:

@@ -2,21 +2,19 @@
 
 iMeMex implements its Resource View Catalog "on top of Apache Derby
 10.1". This package provides the equivalent substrate: typed tables with
-primary keys, secondary B+-tree and hash indexes, predicate scans and
-page-based size accounting (the catalog's contribution to Table 3).
+primary keys, predicate scans and size accounting (the catalog's
+contribution to Table 3).
 
 It is a single-process, in-memory store — exactly what the catalog of a
 personal dataspace needs; durability is out of the paper's scope.
 """
 
-from .btree import BPlusTree
 from .database import Database
-from .hashindex import HashIndex
 from .schema import Column, TableSchema
 from .table import Table
 from .types import BOOL, DATE, INT, REAL, TEXT, ColumnType
 
 __all__ = [
-    "BPlusTree", "Database", "HashIndex", "Column", "TableSchema", "Table",
+    "Database", "Column", "TableSchema", "Table",
     "BOOL", "DATE", "INT", "REAL", "TEXT", "ColumnType",
 ]

@@ -1,11 +1,9 @@
-"""Heap tables with primary keys and secondary indexes.
+"""Heap tables with primary keys.
 
-A :class:`Table` stores rows in insertion order (a heap of row slots),
-enforces primary-key uniqueness through an internal index, and maintains
-secondary B+-tree or hash indexes declared by the caller. Reads go
-through :meth:`scan` (full scan with an optional predicate),
-:meth:`get` (primary key point lookup) and :meth:`lookup`/:meth:`range`
-(secondary index access).
+A :class:`Table` stores rows in insertion order (a heap of row slots)
+and enforces primary-key uniqueness through an internal index. Reads go
+through :meth:`scan` (full scan with an optional predicate) and
+:meth:`get` (primary key point lookup).
 """
 
 from __future__ import annotations
@@ -13,8 +11,6 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator, Sequence
 
 from ..core.errors import TableError
-from .btree import BPlusTree
-from .hashindex import HashIndex
 from .schema import TableSchema
 
 Row = tuple[Any, ...]
@@ -29,35 +25,6 @@ class Table:
         self._rows: list[Row | None] = []   # None = deleted slot
         self._live = 0
         self._primary: dict[tuple[Any, ...], int] = {}
-        self._indexes: dict[str, tuple[tuple[str, ...], BPlusTree | HashIndex]] = {}
-
-    # -- DDL --------------------------------------------------------------------
-
-    def create_index(self, index_name: str, columns: Sequence[str] | str, *,
-                     kind: str = "btree") -> None:
-        """Declare a secondary index over ``columns`` and backfill it."""
-        if isinstance(columns, str):
-            columns = (columns,)
-        columns = tuple(columns)
-        if index_name in self._indexes:
-            raise TableError(f"index {index_name!r} already exists")
-        for column in columns:
-            if column not in self.schema:
-                raise TableError(f"unknown column {column!r}")
-        if kind == "btree":
-            index: BPlusTree | HashIndex = BPlusTree()
-        elif kind == "hash":
-            index = HashIndex()
-        else:
-            raise TableError(f"unknown index kind {kind!r}")
-        self._indexes[index_name] = (columns, index)
-        for row_id, row in enumerate(self._rows):
-            if row is not None:
-                index.insert(self._index_key(columns, row), row_id)
-
-    def _index_key(self, columns: tuple[str, ...], row: Row) -> Any:
-        values = tuple(row[self.schema.position(c)] for c in columns)
-        return values[0] if len(values) == 1 else values
 
     # -- writes -----------------------------------------------------------------
 
@@ -78,8 +45,6 @@ class Table:
         self._live += 1
         if self.schema.primary_key:
             self._primary[self.schema.key_of(row)] = row_id
-        for columns, index in self._indexes.values():
-            index.insert(self._index_key(columns, row), row_id)
         return row_id
 
     def update(self, key: Sequence[Any] | Any,
@@ -97,9 +62,6 @@ class Table:
         old_key = self.schema.key_of(old_row)
         if new_key != old_key and new_key in self._primary:
             raise TableError(f"duplicate primary key {new_key!r}")
-        for columns, index in self._indexes.values():
-            index.remove(self._index_key(columns, old_row), row_id)
-            index.insert(self._index_key(columns, new_row), row_id)
         if new_key != old_key:
             del self._primary[old_key]
             self._primary[new_key] = row_id
@@ -113,8 +75,6 @@ class Table:
             return False
         row = self._rows[row_id]
         assert row is not None
-        for columns, index in self._indexes.values():
-            index.remove(self._index_key(columns, row), row_id)
         del self._primary[self.schema.key_of(row)]
         self._rows[row_id] = None
         self._live -= 1
@@ -160,43 +120,10 @@ class Table:
             if predicate is None or predicate(record):
                 yield record
 
-    def lookup(self, index_name: str, key: Any) -> list[dict[str, Any]]:
-        """Equality lookup through a secondary index."""
-        columns, index = self._get_index(index_name)
-        out = []
-        for row_id in index.get(key):
-            row = self._rows[row_id]
-            if row is not None:
-                out.append(dict(zip(self.schema.names, row)))
-        return out
-
-    def range(self, index_name: str, low: Any = None, high: Any = None,
-              **bounds: bool) -> Iterator[dict[str, Any]]:
-        """Range scan through a B+-tree index."""
-        columns, index = self._get_index(index_name)
-        if not isinstance(index, BPlusTree):
-            raise TableError(f"index {index_name!r} does not support ranges")
-        for _, row_ids in index.range(low, high, **bounds):
-            for row_id in row_ids:
-                row = self._rows[row_id]
-                if row is not None:
-                    yield dict(zip(self.schema.names, row))
-
-    def _get_index(self, index_name: str):
-        try:
-            return self._indexes[index_name]
-        except KeyError:
-            raise TableError(f"no index {index_name!r} on {self.name!r}") from None
-
     # -- statistics ------------------------------------------------------------------
 
     def size_bytes(self) -> int:
-        """Approximate table size: row data + primary key + indexes."""
+        """Approximate table size: row data + primary key."""
         data = sum(self.schema.row_size(row) for row in self._live_rows())
         primary = 24 * len(self._primary)
-        secondary = sum(index.size_bytes()
-                        for _, index in self._indexes.values())
-        return data + primary + secondary
-
-    def index_names(self) -> list[str]:
-        return sorted(self._indexes)
+        return data + primary

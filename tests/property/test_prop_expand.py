@@ -53,7 +53,7 @@ def _oracle(adjacency, sources, candidates, axis, *, replicate):
     trace = TraceCollector()
     ctx = _id_context(replica_rvm("expandprop", adjacency,
                                   replicate=replicate), trace=trace)
-    node = ExpandStep(input=AllViews(), axis=axis, strategy="forward",
+    node = ExpandStep(input=AllViews(), axis=axis,
                       candidates=None if candidates is None else AllViews())
     answer = reference_forward(
         node, ctx, {_uri(n) for n in sources},
@@ -76,7 +76,7 @@ def _check_walk(edges, sources, candidates, axis, batch_size, *, replicate):
                               batch_size)),
         None if candidates is None else StaticSource(
             *_chunks(sorted(_uri(n) for n in candidates), batch_size)),
-        axis, "forward",
+        axis,
     )
     expand.open(ctx)
     got = list(drain(expand))

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.query.engine import materialize_set, reference_execute
 from repro.query.executor import ExecutionContext
-from repro.query.optimizer import optimize, optimize_with_statistics
+from repro.query.optimizer import optimize
 from repro.query.plan import Limit
 
 from .queries import QUERIES as _QUERIES, SEEDS as _SEEDS, space as _space
@@ -49,16 +49,6 @@ class TestDifferentialEquivalence:
         dataspace = _space(index)
         raw = dataspace.processor._build(query)
         optimized = optimize(raw)
-        assert _uris(optimized, dataspace) == _uris(raw, dataspace)
-
-    @given(_QUERIES, st.integers(0, len(_SEEDS) - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_cost_optimized_plan_returns_identical_uris(self, query, index):
-        """The statistics-driven reordering is equally lossless."""
-        dataspace = _space(index)
-        raw = dataspace.processor._build(query)
-        ctx = ExecutionContext(dataspace.rvm, dataspace.processor.functions)
-        optimized = optimize_with_statistics(raw, ctx)
         assert _uris(optimized, dataspace) == _uris(raw, dataspace)
 
     @given(_QUERIES)

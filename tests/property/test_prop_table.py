@@ -23,7 +23,6 @@ def _apply(operations):
     table = db.create_table(
         "t", [Column("k", TEXT), Column("v", INT)], primary_key="k"
     )
-    table.create_index("by_v", "v")
     model: dict[str, int] = {}
     for op, key, value in operations:
         if op == "insert":
@@ -60,26 +59,6 @@ class TestAgainstModel:
                 assert row == {"k": key, "v": model[key]}
             else:
                 assert row is None
-
-    @given(_OPERATIONS)
-    @settings(max_examples=100, deadline=None)
-    def test_secondary_index_consistent(self, operations):
-        table, model = _apply(operations)
-        for value in set(model.values()):
-            expected = {k for k, v in model.items() if v == value}
-            got = {row["k"] for row in table.lookup("by_v", value)}
-            assert got == expected
-
-    @given(_OPERATIONS, st.integers(-50, 50), st.integers(-50, 50))
-    @settings(max_examples=100, deadline=None)
-    def test_range_scan_matches(self, operations, a, b):
-        low, high = min(a, b), max(a, b)
-        table, model = _apply(operations)
-        expected = sorted(
-            k for k, v in model.items() if low <= v <= high
-        )
-        got = sorted(row["k"] for row in table.range("by_v", low, high))
-        assert got == expected
 
     @given(_OPERATIONS)
     @settings(max_examples=100, deadline=None)

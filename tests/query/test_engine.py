@@ -345,7 +345,7 @@ class TestExpandOperator:
         graph = {"a": ("b",), "b": ("c",), "c": ("a",)}  # a 3-cycle
         ctx = FakeCtx(graph=graph)
         expand = ExpandOperator(StaticSource(["a"]), None,
-                                Axis.DESCENDANT, "forward")
+                                Axis.DESCENDANT)
         out = run(expand, ctx)
         assert sorted(out) == ["a", "b", "c"]
         assert ctx.expanded_views == 3  # each view discovered once
@@ -353,7 +353,7 @@ class TestExpandOperator:
     def test_forward_child_is_one_hop(self):
         graph = {"a": ("b",), "b": ("c",)}
         out = run(ExpandOperator(StaticSource(["a"]), None,
-                                 Axis.CHILD, "forward"),
+                                 Axis.CHILD),
                   FakeCtx(graph=graph))
         assert out == ["b"]
 
@@ -361,7 +361,7 @@ class TestExpandOperator:
         graph = {"a": ("b", "c", "d")}
         out = run(ExpandOperator(StaticSource(["a"]),
                                  StaticSource(["c", "d"]),
-                                 Axis.CHILD, "forward"),
+                                 Axis.CHILD),
                   FakeCtx(graph=graph))
         assert sorted(out) == ["c", "d"]
 
@@ -370,7 +370,7 @@ class TestExpandOperator:
         graph = {"a": ("c",), "b": ("c", "d"), "c": ("c", "e")}
         ctx = FakeCtx(batch_size=1, graph=graph)
         out = run(ExpandOperator(StaticSource(["a"], ["b"]), None,
-                                 Axis.DESCENDANT, "forward"), ctx)
+                                 Axis.DESCENDANT), ctx)
         assert sorted(out) == ["c", "d", "e"]
         assert ctx.expanded_views == 3
 
@@ -380,8 +380,8 @@ class TestExpandOperator:
         sources = [f"s{i:02d}" for i in range(40)]
         graph = {s: (f"{s}/x", f"{s}/y") for s in sources}
         source = StaticSource(*[[s] for s in sources])
-        limited = LimitOp(ExpandOperator(source, None, Axis.DESCENDANT,
-                                         "forward"), 3)
+        limited = LimitOp(ExpandOperator(source, None, Axis.DESCENDANT),
+                          3)
         out = run(limited, FakeCtx(batch_size=2, graph=graph))
         assert len(out) == 3
         assert source.pulls <= 3  # not the 41 pulls a drain would take
@@ -463,7 +463,7 @@ class TestExpandOverReplica:
         ctx = _id_context(rvm, cancel_token=token,
                           engine=EngineConfig(batch_size=size))
         expand = ExpandOperator(StaticSource(["cancelwalk://root"]), None,
-                                Axis.DESCENDANT, "forward")
+                                Axis.DESCENDANT)
         expand.open(ctx)
         with pytest.raises(Cancelled):
             list(drain(expand))
@@ -486,7 +486,7 @@ class TestExpandOverReplica:
         late_id = view._dictionary.id_of(late.view_id.uri)
         assert late_id >= len(view._key_of_id)
         expand = ExpandOperator(StaticSource(["latewalk://root"]), None,
-                                Axis.DESCENDANT, "forward")
+                                Axis.DESCENDANT)
         expand.open(ctx)
         keys = list(drain(expand))
         assert ctx.expanded_views == 3
@@ -553,7 +553,7 @@ class TestExpandWithoutReplica:
         root = ViewId("shipped", "root").uri
         engine = _id_context(rvm, trace=TraceCollector())
         expand = ExpandOperator(StaticSource([root]), None,
-                                Axis.DESCENDANT, "forward")
+                                Axis.DESCENDANT)
         expand.open(engine)
         answer = set(engine.dict_view.uris_for(list(drain(expand))))
         oracle = _id_context(rvm, trace=TraceCollector())

@@ -23,37 +23,29 @@ from repro.imapsim.latency import no_latency
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-#: (name, optimizer, mode, query). The double-negation case pins the
+#: (name, mode, query). The double-negation case pins the
 #: eliminate-double-negation rewrite; the intersect cases pin the
-#: rule-based reorder (selective indexes first) and the statistics
-#: reorder (smallest estimate first) respectively.
+#: rule-based reorder (selective indexes first).
 CASES = [
-    ("explain_double_negation", "rule", "explain",
+    ("explain_double_negation", "explain",
      'not not "database"'),
-    ("explain_intersect_reorder", "rule", "explain",
+    ("explain_intersect_reorder", "explain",
      '"database" and size > 10000 and class = "latex_section"'),
-    ("analyze_double_negation", "rule", "analyze",
+    ("analyze_double_negation", "analyze",
      'not not "database"'),
-    ("analyze_intersect_rule", "rule", "analyze",
+    ("analyze_intersect_rule", "analyze",
      '"database" and size > 10000 and class = "latex_section"'),
-    ("analyze_intersect_cost", "cost", "analyze",
-     '"database" and size > 10000 and class = "latex_section"'),
-    ("analyze_union_expand", "rule", "analyze",
+    ("analyze_union_expand", "analyze",
      'union( //*[name="README"], //*.tex )'),
 ]
 
 
 @pytest.fixture(scope="module")
-def spaces() -> dict[str, Dataspace]:
-    built = {}
-    for optimizer in ("rule", "cost"):
-        dataspace = Dataspace.generate(
-            profile=TINY_PROFILE, seed=7, imap_latency=no_latency(),
-            optimizer=optimizer,
-        )
-        dataspace.sync()
-        built[optimizer] = dataspace
-    return built
+def dataspace() -> Dataspace:
+    dataspace = Dataspace.generate(
+        profile=TINY_PROFILE, seed=7, imap_latency=no_latency())
+    dataspace.sync()
+    return dataspace
 
 
 def _render(dataspace: Dataspace, mode: str, query: str) -> str:
@@ -62,10 +54,10 @@ def _render(dataspace: Dataspace, mode: str, query: str) -> str:
     return dataspace.explain_analyze(query).render(redact_timing=True)
 
 
-@pytest.mark.parametrize("name,optimizer,mode,query", CASES,
+@pytest.mark.parametrize("name,mode,query", CASES,
                          ids=[case[0] for case in CASES])
-def test_golden(spaces, name, optimizer, mode, query):
-    actual = _render(spaces[optimizer], mode, query).rstrip("\n") + "\n"
+def test_golden(dataspace, name, mode, query):
+    actual = _render(dataspace, mode, query).rstrip("\n") + "\n"
     golden = GOLDEN_DIR / f"{name}.txt"
     if os.environ.get("REPRO_REGOLD"):
         golden.write_text(actual, encoding="utf-8")
@@ -78,9 +70,9 @@ def test_golden(spaces, name, optimizer, mode, query):
         f"(REPRO_REGOLD=1 regenerates)")
 
 
-def test_analyze_output_is_deterministic(spaces):
+def test_analyze_output_is_deterministic(dataspace):
     """Two runs of the same query render identically once timing is
     redacted — counters, rewrites and cardinalities are all stable."""
-    first = _render(spaces["rule"], "analyze", 'not "database"')
-    second = _render(spaces["rule"], "analyze", 'not "database"')
+    first = _render(dataspace, "analyze", 'not "database"')
+    second = _render(dataspace, "analyze", 'not "database"')
     assert first == second

@@ -1,11 +1,10 @@
-"""Tests for the query-engine extensions: expansion strategies,
-cost-based optimization, and ranked search."""
+"""Tests for the query-engine extensions: ranked search and the
+indexing-policy fallbacks."""
 
 from datetime import datetime
 
 import pytest
 
-from repro.core.errors import QueryExecutionError
 from repro.imapsim import ImapServer
 from repro.imapsim.latency import no_latency
 from repro.query import QueryProcessor
@@ -41,110 +40,6 @@ def rvm():
     ))
     manager.sync_all()
     return manager
-
-
-PATH_QUERIES = [
-    '//papers//Introduction',
-    '//VLDB2006//*[class="environment"]//figure*',
-    '//papers//*[class="texref"]',
-    '//papers//Conclusions/*["systems"]',
-]
-
-
-class TestExpansionStrategies:
-    @pytest.mark.parametrize("query", PATH_QUERIES)
-    def test_all_strategies_agree(self, rvm, query):
-        results = {}
-        for strategy in ("forward", "backward", "auto"):
-            qp = QueryProcessor(rvm, expansion=strategy)
-            results[strategy] = set(qp.execute(query).uris())
-        assert results["forward"] == results["backward"] == results["auto"]
-
-    def test_backward_visits_fewer_for_selective_targets(self, rvm):
-        """With few candidates and many sources, backward expansion
-        touches fewer intermediate views — [30]'s observation."""
-        query = '//papers//*[class="texref"]'
-        forward = QueryProcessor(rvm, expansion="forward").execute(query)
-        backward = QueryProcessor(rvm, expansion="backward").execute(query)
-        assert len(forward) == len(backward)
-        assert backward.expanded_views < forward.expanded_views
-
-    def test_auto_never_expands_more_than_both(self, rvm):
-        """The bidirectional heuristic picks the smaller frontier, so it
-        does at most the work of the direction it selects."""
-        query = '//papers//*[class="texref"]'
-        forward = QueryProcessor(rvm, expansion="forward").execute(query)
-        backward = QueryProcessor(rvm, expansion="backward").execute(query)
-        auto = QueryProcessor(rvm, expansion="auto").execute(query)
-        assert set(auto.uris()) == set(forward.uris())
-        assert auto.expanded_views <= max(forward.expanded_views,
-                                          backward.expanded_views)
-        assert auto.expanded_views in (forward.expanded_views,
-                                       backward.expanded_views)
-
-    def test_strategy_shows_in_plan(self, rvm):
-        qp = QueryProcessor(rvm, expansion="backward")
-        assert "strategy=backward" in qp.explain("//papers//Introduction")
-
-    def test_unknown_strategy_rejected(self, rvm):
-        with pytest.raises(QueryExecutionError):
-            QueryProcessor(rvm, expansion="sideways")
-
-    def test_backward_without_replica_rejected(self):
-        fs = VirtualFileSystem()
-        fs.write_file("/a/x.txt", "content", parents=True)
-        manager = ResourceViewManager(policy=IndexingPolicy(
-            replicate_groups=False
-        ))
-        manager.register_plugin(FilesystemPlugin(fs))
-        manager.sync_all()
-        qp = QueryProcessor(manager, expansion="backward")
-        with pytest.raises(QueryExecutionError):
-            qp.execute("//a//x.txt")
-
-
-class TestCostBasedOptimizer:
-    def test_results_match_rule_optimizer(self, rvm):
-        queries = [
-            '[class="latex_section" and "xenolith"]',
-            '"database" and not "xenolith"',
-            '//papers//Introduction[class="latex_section"]',
-        ]
-        for query in queries:
-            rule = QueryProcessor(rvm, optimizer="rule").execute(query)
-            cost = QueryProcessor(rvm, optimizer="cost").execute(query)
-            assert set(rule.uris()) == set(cost.uris()), query
-
-    def test_rare_term_ordered_first(self, rvm):
-        """'xenolith' occurs in one document only; the latex_section
-        class matches more views — cost-based ordering puts the rare
-        term first, rule-based puts the class lookup first."""
-        query = '[class="latex_section" and "xenolith"]'
-        rule_plan = QueryProcessor(rvm, optimizer="rule").explain(query)
-        cost_plan = QueryProcessor(rvm, optimizer="cost").explain(query)
-        assert rule_plan.splitlines()[1].strip().startswith("ClassLookup")
-        assert cost_plan.splitlines()[1].strip().startswith("ContentSearch")
-
-    def test_estimates_reflect_document_frequency(self, rvm):
-        from repro.query.executor import ExecutionContext
-        from repro.query.functions import FunctionTable
-        ctx = ExecutionContext(rvm, FunctionTable())
-        rare = ctx.content_estimate("xenolith", is_phrase=True,
-                                    wildcard=False)
-        common = ctx.content_estimate("database", is_phrase=True,
-                                      wildcard=False)
-        assert 0 < rare < common
-
-    def test_unknown_term_estimates_zero(self, rvm):
-        from repro.query.executor import ExecutionContext
-        from repro.query.functions import FunctionTable
-        ctx = ExecutionContext(rvm, FunctionTable())
-        assert ctx.content_estimate("zzzznope", is_phrase=True,
-                                    wildcard=False) == 0
-
-    def test_unknown_optimizer_rejected(self, rvm):
-        with pytest.raises(QueryExecutionError):
-            QueryProcessor(rvm, optimizer="quantum")
 
 
 class TestRankedSearch:

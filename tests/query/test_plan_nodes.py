@@ -114,6 +114,16 @@ class TestCombinators:
         plan = Intersect((AllViews(), cheap))
         assert plan.estimate(ctx) == cheap.estimate(ctx)
 
+    def test_estimates_reflect_document_frequency(self, ctx):
+        rare = ctx.content_estimate("beta", is_phrase=True, wildcard=False)
+        common = ctx.content_estimate("alpha", is_phrase=True,
+                                      wildcard=False)
+        assert 0 < rare < common
+
+    def test_unknown_term_estimates_zero(self, ctx):
+        assert ctx.content_estimate("zzzznope", is_phrase=True,
+                                    wildcard=False) == 0
+
 
 class TestExpandStepDirect:
     def test_child_axis_single_hop(self, ctx):
@@ -127,12 +137,6 @@ class TestExpandStepDirect:
                           axis=Axis.DESCENDANT)
         reached = run(step, ctx)
         assert any("#s" in uri for uri in reached)  # latex sections
-
-    def test_backward_child_axis(self, ctx):
-        step = ExpandStep(input=NameEquals(name="docs"), axis=Axis.CHILD,
-                          candidates=NamePattern(pattern="*.txt"),
-                          strategy="backward")
-        assert run(step, ctx) == {"fs:///docs/a.txt", "fs:///docs/b.txt"}
 
     def test_expanded_views_counted(self, ctx):
         fresh = ExecutionContext(ctx.rvm, FunctionTable())

@@ -22,13 +22,6 @@ class TestGroupReplica:
         replica.add(parent)
         assert replica.children(parent.view_id) == (child.view_id.uri,)
 
-    def test_parents_reverse_edges(self):
-        child = _view("/a/b", "b")
-        parent = _view("/a", "a", children=[child])
-        replica = GroupReplica()
-        replica.add(parent)
-        assert replica.parents(child.view_id) == {parent.view_id.uri}
-
     def test_sequence_order_preserved(self):
         kids = [_view(f"/k{i}", f"k{i}") for i in range(3)]
         parent = ResourceView(
@@ -49,7 +42,6 @@ class TestGroupReplica:
         new_parent = _view("/p", "p", children=[_view("/new", "new")])
         replica.add(new_parent)
         assert replica.children("fs:///p") == ("fs:///new",)
-        assert replica.parents("fs:///old") == set()
 
     def test_remove(self):
         child = _view("/c", "c")
@@ -80,15 +72,6 @@ class TestGroupReplica:
         replica.add(b)
         assert replica.descendants("fs:///a") == {"fs:///b", "fs:///a"}
 
-    def test_ancestors_backward_expansion(self):
-        leaf = _view("/a/b/c", "c")
-        mid = _view("/a/b", "b", children=[leaf])
-        root = _view("/a", "a", children=[mid])
-        replica = GroupReplica()
-        for view in (root, mid, leaf):
-            replica.add(view)
-        assert replica.ancestors("fs:///a/b/c") == {"fs:///a/b", "fs:///a"}
-
     def test_infinite_group_windowed(self):
         def forever():
             index = 0
@@ -109,6 +92,27 @@ class TestGroupReplica:
         replica.add(_view("/p", "p", children=[_view("/c", "c")]))
         assert replica.edge_count() == 1
         assert replica.size_bytes() > 0
+
+    def test_size_is_node_headers_plus_forward_edges(self):
+        """Table 3's group row: 16 B per node and 8 B per forward edge,
+        nothing else — through adds, a re-add and a remove."""
+        replica = GroupReplica()
+
+        def check():
+            assert replica.size_bytes() == (16 * len(replica)
+                                            + 8 * replica.edge_count())
+
+        leaf = _view("/a/b/c", "c")
+        mid = _view("/a/b", "b", children=[leaf])
+        for view in (_view("/a", "a", children=[mid, leaf]), mid, leaf):
+            replica.add(view)
+            check()
+        assert (len(replica), replica.edge_count()) == (3, 3)
+        replica.add(_view("/a", "a", children=[mid]))
+        check()
+        assert replica.remove("fs:///a/b")
+        check()
+        assert (len(replica), replica.edge_count()) == (2, 1)
 
 
 class TestTextSniffer:

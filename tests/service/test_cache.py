@@ -3,7 +3,7 @@
 from repro.core.identity import ViewId
 from repro.facade import Dataspace
 from repro.pushops import ChangeEvent, ChangeKind, ComponentKind, PushBus
-from repro.service import LRUCache, QueryKey, ResultCache
+from repro.service import LRUCache, ResultCache
 
 
 def _event(uri: str = "fs:///x", kind: ChangeKind = ChangeKind.MODIFIED):
@@ -47,14 +47,14 @@ class TestLRUCache:
 class TestResultCache:
     def test_round_trip_without_bus(self):
         cache = ResultCache(8)
-        key = QueryKey('"x"', "rule", "forward")
+        key = '"x"'
         cache.put(key, "result")
         assert cache.get(key) == "result"
 
     def test_any_change_event_invalidates(self):
         bus = PushBus()
         cache = ResultCache(8, bus=bus)
-        key = QueryKey('"x"', "rule", "forward")
+        key = '"x"'
         cache.put(key, "result")
         bus.publish(_event())
         assert cache.get(key) is None
@@ -64,7 +64,7 @@ class TestResultCache:
         for kind in (ChangeKind.ADDED, ChangeKind.REMOVED):
             bus = PushBus()
             cache = ResultCache(8, bus=bus)
-            key = QueryKey('"x"', "rule", "forward")
+            key = '"x"'
             cache.put(key, "result")
             bus.publish(_event(kind=kind))
             assert cache.get(key) is None, kind
@@ -74,7 +74,7 @@ class TestResultCache:
         entry: it was computed against pre-change data."""
         bus = PushBus()
         cache = ResultCache(8, bus=bus)
-        key = QueryKey('"x"', "rule", "forward")
+        key = '"x"'
         epoch = cache.epoch          # captured at execution start
         bus.publish(_event())        # data changes mid-execution
         cache.put(key, "stale-result", epoch=epoch)
@@ -83,7 +83,7 @@ class TestResultCache:
     def test_detach_stops_invalidation(self):
         bus = PushBus()
         cache = ResultCache(8, bus=bus)
-        key = QueryKey('"x"', "rule", "forward")
+        key = '"x"'
         cache.detach()
         cache.put(key, "result")
         bus.publish(_event())

@@ -38,11 +38,8 @@ class TestConstruction:
     def test_generate_passthrough_kwargs(self):
         dataspace = Dataspace.generate(
             scale=0.001, imap_latency=no_latency(),
-            policy=IndexingPolicy.minimal(), optimizer="cost",
-            expansion="auto",
+            policy=IndexingPolicy.minimal(),
         )
-        assert dataspace.processor.optimizer_mode == "cost"
-        assert dataspace.processor.expansion == "auto"
         assert not dataspace.rvm.indexes.policy.index_content
 
     def test_demo_reproducible(self):

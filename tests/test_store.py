@@ -5,10 +5,8 @@ import pytest
 from repro.core.errors import TableError
 from repro.store import (
     BOOL,
-    BPlusTree,
     Column,
     Database,
-    HashIndex,
     INT,
     TEXT,
     TableSchema,
@@ -65,135 +63,6 @@ class TestSchema:
             schema.row_from_dict({"zz": 1})
 
 
-class TestBPlusTree:
-    def test_insert_get(self):
-        tree = BPlusTree()
-        tree.insert(5, "a")
-        assert tree.get(5) == ["a"]
-
-    def test_duplicates_accumulate(self):
-        tree = BPlusTree()
-        tree.insert(1, "a")
-        tree.insert(1, "b")
-        assert sorted(tree.get(1)) == ["a", "b"]
-
-    def test_missing_key_empty(self):
-        assert BPlusTree().get(9) == []
-
-    def test_keys_sorted_after_random_inserts(self):
-        import random
-        rng = random.Random(3)
-        tree = BPlusTree(order=6)
-        keys = [rng.randrange(1000) for _ in range(500)]
-        for key in keys:
-            tree.insert(key, key)
-        assert list(tree.keys()) == sorted(set(keys))
-
-    def test_range_inclusive(self):
-        tree = BPlusTree(order=4)
-        for i in range(100):
-            tree.insert(i, i)
-        assert [k for k, _ in tree.range(10, 20)] == list(range(10, 21))
-
-    def test_range_exclusive_bounds(self):
-        tree = BPlusTree(order=4)
-        for i in range(10):
-            tree.insert(i, i)
-        got = [k for k, _ in tree.range(2, 5, include_low=False,
-                                        include_high=False)]
-        assert got == [3, 4]
-
-    def test_open_ranges(self):
-        tree = BPlusTree(order=4)
-        for i in range(10):
-            tree.insert(i, i)
-        assert [k for k, _ in tree.range(high=3)] == [0, 1, 2, 3]
-        assert [k for k, _ in tree.range(low=7)] == [7, 8, 9]
-
-    def test_remove_value(self):
-        tree = BPlusTree()
-        tree.insert(1, "a")
-        tree.insert(1, "b")
-        assert tree.remove(1, "a")
-        assert tree.get(1) == ["b"]
-
-    def test_remove_whole_key(self):
-        tree = BPlusTree()
-        tree.insert(1, "a")
-        tree.insert(1, "b")
-        assert tree.remove(1)
-        assert 1 not in tree
-
-    def test_remove_missing_false(self):
-        assert not BPlusTree().remove(1)
-
-    def test_mass_delete_keeps_invariants(self):
-        import random
-        rng = random.Random(9)
-        tree = BPlusTree(order=5)
-        pairs = [(rng.randrange(200), i) for i in range(1000)]
-        for key, value in pairs:
-            tree.insert(key, value)
-        for key, value in pairs[:700]:
-            assert tree.remove(key, value)
-        expected: dict[int, list[int]] = {}
-        for key, value in pairs[700:]:
-            expected.setdefault(key, []).append(value)
-        assert list(tree.keys()) == sorted(expected)
-        for key, values in expected.items():
-            assert sorted(tree.get(key)) == sorted(values)
-
-    def test_len_counts_pairs(self):
-        tree = BPlusTree()
-        tree.insert(1, "a")
-        tree.insert(1, "b")
-        tree.insert(2, "c")
-        assert len(tree) == 3
-
-    def test_height_grows(self):
-        tree = BPlusTree(order=4)
-        for i in range(200):
-            tree.insert(i, i)
-        assert tree.height() >= 3
-
-    def test_string_keys(self):
-        tree = BPlusTree()
-        tree.insert("banana", 1)
-        tree.insert("apple", 2)
-        assert list(tree.keys()) == ["apple", "banana"]
-
-    def test_order_minimum(self):
-        with pytest.raises(ValueError):
-            BPlusTree(order=2)
-
-
-class TestHashIndex:
-    def test_insert_get(self):
-        index = HashIndex()
-        index.insert("k", 1)
-        index.insert("k", 2)
-        assert index.get("k") == [1, 2]
-
-    def test_remove_value(self):
-        index = HashIndex()
-        index.insert("k", 1)
-        index.insert("k", 2)
-        assert index.remove("k", 1)
-        assert index.get("k") == [2]
-
-    def test_remove_key(self):
-        index = HashIndex()
-        index.insert("k", 1)
-        assert index.remove("k")
-        assert "k" not in index
-
-    def test_len(self):
-        index = HashIndex()
-        index.insert("a", 1)
-        index.insert("b", 2)
-        assert len(index) == 2
-
-
 class TestTable:
     @pytest.fixture()
     def table(self):
@@ -204,7 +73,6 @@ class TestTable:
              Column("flag", BOOL)],
             primary_key="uri",
         )
-        table.create_index("by_size", "size")
         return table
 
     def test_insert_and_get(self, table):
@@ -220,8 +88,6 @@ class TestTable:
         table.insert({"uri": "a", "size": 1})
         assert table.update("a", {"size": 99})
         assert table.get("a")["size"] == 99
-        assert table.lookup("by_size", 99)[0]["uri"] == "a"
-        assert table.lookup("by_size", 1) == []
 
     def test_update_missing_false(self, table):
         assert not table.update("ghost", {"size": 1})
@@ -244,28 +110,6 @@ class TestTable:
             table.insert({"uri": f"u{i}", "size": i})
         big = list(table.scan(lambda r: r["size"] >= 3))
         assert len(big) == 2
-
-    def test_secondary_range(self, table):
-        for i in range(10):
-            table.insert({"uri": f"u{i}", "size": i * 10})
-        rows = list(table.range("by_size", 20, 40))
-        assert [r["size"] for r in rows] == [20, 30, 40]
-
-    def test_index_backfill(self, table):
-        table.insert({"uri": "a", "size": 7})
-        table.create_index("by_flag", "flag", kind="hash")
-        assert table.lookup("by_flag", None) != [] or True  # no crash
-        table.insert({"uri": "b", "size": 8, "flag": True})
-        assert table.lookup("by_flag", True)[0]["uri"] == "b"
-
-    def test_unknown_index_raises(self, table):
-        with pytest.raises(TableError):
-            table.lookup("nope", 1)
-
-    def test_hash_index_rejects_range(self, table):
-        table.create_index("h", "size", kind="hash")
-        with pytest.raises(TableError):
-            list(table.range("h", 1, 2))
 
     def test_wrong_type_rejected(self, table):
         with pytest.raises(TableError):
