@@ -8,6 +8,7 @@ token ordinals (not byte offsets), which is what phrase matching needs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -31,16 +32,10 @@ class Token:
     position: int
 
 
-def _iter_words(text: str) -> Iterator[str]:
-    word: list[str] = []
-    for ch in text:
-        if ch.isalnum():
-            word.append(ch)
-        elif word:
-            yield "".join(word)
-            word.clear()
-    if word:
-        yield "".join(word)
+#: A word is a maximal run of characters for which ``str.isalnum()``
+#: holds: ``\w`` is alphanumeric-or-underscore in ``re``'s Unicode
+#: mode, so ``[^\W_]`` is exactly alphanumeric, matched at C speed.
+_WORD = re.compile(r"[^\W_]+")
 
 
 class Analyzer:
@@ -58,24 +53,40 @@ class Analyzer:
         self.min_length = min_length
         self.max_length = max_length
 
-    def tokens(self, text: str) -> Iterator[Token]:
-        """Yield analyzed tokens with consecutive positions.
+    def _analyzed(self, text: str) -> Iterator[tuple[int, str]]:
+        """``(position, term)`` for every word that survives the filters.
 
-        Positions count *emitted* words: stopword removal leaves gaps,
+        Positions count *every* word: stopword removal leaves gaps,
         matching Lucene's position-increment behavior, so phrases cannot
         falsely match across a removed stopword.
         """
-        for position, word in enumerate(_iter_words(text)):
-            term = word.lower() if self.lowercase else word
-            if not self.min_length <= len(term) <= self.max_length:
-                continue
-            if term in self.stopwords:
-                continue
-            yield Token(term, position)
+        words = _WORD.findall(text)
+        if self.lowercase:
+            words = map(str.lower, words)
+        low, high, stopwords = self.min_length, self.max_length, self.stopwords
+        return ((position, term) for position, term in enumerate(words)
+                if low <= len(term) <= high and term not in stopwords)
+
+    def tokens(self, text: str) -> Iterator[Token]:
+        """Analyzed tokens in position order."""
+        return (Token(term, position)
+                for position, term in self._analyzed(text))
 
     def terms(self, text: str) -> list[str]:
         """Just the term strings, in order."""
-        return [token.term for token in self.tokens(text)]
+        return [term for _, term in self._analyzed(text)]
+
+    def positions(self, text: str) -> dict[str, list[int]]:
+        """Every term of ``text`` with its ascending positions, terms in
+        order of first occurrence — one pass, what indexing a whole
+        document needs."""
+        out: dict[str, list[int]] = {}
+        for position, term in self._analyzed(text):
+            if term in out:
+                out[term].append(position)
+            else:
+                out[term] = [position]
+        return out
 
 
 #: The analyzer used across the library unless a caller overrides it.

@@ -64,12 +64,14 @@ class InvertedIndex:
         if doc in self._doc_lengths:
             self._remove_doc(doc)
         self._docs.add(doc)
+        terms = self._terms
         length = 0
-        for token in self.analyzer.tokens(text):
-            self._terms.setdefault(token.term, PostingsList()).add(
-                doc, token.position
-            )
-            length += 1
+        for term, positions in self.analyzer.positions(text).items():
+            postings = terms.get(term)
+            if postings is None:
+                postings = terms[term] = PostingsList()
+            postings.add_doc(doc, positions)
+            length += len(positions)
         self._doc_lengths[doc] = length
         self._total_input_bytes += len(text.encode("utf-8", "replace"))
         if self.store_text:

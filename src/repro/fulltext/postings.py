@@ -12,15 +12,14 @@ id set as-is, with no string conversion.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
 
 
-def _new_keyset():
+def _keyset_of(ids):
     # deferred: repro.rvm imports repro.fulltext (indexes -> InvertedIndex),
     # so a module-level import here would cycle when fulltext loads first
     from ..rvm.keyset import KeySet
-    return KeySet()
+    return KeySet.from_iterable(ids)
 
 
 @dataclass(slots=True)
@@ -47,32 +46,36 @@ class Posting:
 
 class PostingsList:
     """The postings of one term: a compressed doc-id set plus the
-    per-document position lists."""
+    per-document position lists.
+
+    One writer, many readers (DESIGN.md §4j): readers walk the doc set
+    and look each doc up in ``_by_doc``, so a posting is stored before
+    its doc joins the set and leaves the set before it is dropped.
+    """
 
     __slots__ = ("_docs", "_by_doc")
 
-    def __init__(self) -> None:
-        self._docs = _new_keyset()
-        self._by_doc: dict[int, Posting] = {}
+    def __init__(self, positions: dict[int, list[int]] | None = None
+                 ) -> None:
+        """Empty, or bulk-built from ``{doc: ascending positions}``."""
+        self._by_doc: dict[int, Posting] = {
+            doc: Posting(doc, doc_positions)
+            for doc, doc_positions in (positions or {}).items()
+        }
+        self._docs = _keyset_of(self._by_doc)
 
-    def add(self, doc: int, position: int) -> None:
-        """Record one occurrence of the term in ``doc`` at ``position``.
-
-        Occurrences for one document may arrive in any order; the doc
-        set keeps itself sorted (it is a keyset).
-        """
-        posting = self._by_doc.get(doc)
-        if posting is None:
-            self._docs.add(doc)
-            self._by_doc[doc] = Posting(doc, [position])
-        else:
-            insort(posting.positions, position)
+    def add_doc(self, doc: int, positions: list[int]) -> None:
+        """Record every occurrence of the term in ``doc`` (not yet in the
+        list): ``positions`` is complete and ascending."""
+        self._by_doc[doc] = Posting(doc, positions)
+        self._docs.add(doc)
 
     def remove_doc(self, doc: int) -> bool:
         """Drop a document's posting; returns True when it existed."""
-        if self._by_doc.pop(doc, None) is None:
+        if doc not in self._by_doc:
             return False
         self._docs.discard(doc)
+        del self._by_doc[doc]
         return True
 
     def get(self, doc: int) -> Posting | None:

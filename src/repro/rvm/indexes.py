@@ -68,9 +68,12 @@ class IndexingPolicy:
 
 def _looks_like_text(sample: str, *, window: int = 512,
                      threshold: float = 0.7) -> bool:
-    """Heuristic binary sniffing over a prefix of the content."""
+    """Heuristic binary sniffing over a prefix of the content: the share
+    of printable characters, counting newline, carriage return and tab
+    (none of which is printable) as printable too."""
     prefix = sample[:window]
-    printable = sum(1 for ch in prefix if ch.isprintable() or ch in "\n\r\t")
+    printable = (sum(map(str.isprintable, prefix)) + prefix.count("\n")
+                 + prefix.count("\r") + prefix.count("\t"))
     return printable / len(prefix) >= threshold
 
 

@@ -282,26 +282,21 @@ def load_state(rvm: ResourceViewManager, directory: str | Path, *,
 
     content = rvm.indexes.content_index
     # register documents first so lengths and ids survive, then postings
-    doc_lengths = {row["uri"]: row["length"]
-                   for row in _read_jsonl(base / "content_docs.jsonl")}
-    for uri in doc_lengths:
-        content.add(uri, "")
+    docs = {}
+    for row in _read_jsonl(base / "content_docs.jsonl"):
+        doc = docs[row["uri"]] = content.add(row["uri"], "")
+        content._doc_lengths[doc] = row["length"]  # noqa: SLF001
     from ..fulltext.postings import PostingsList
+    terms = content._terms  # noqa: SLF001 - snapshot restore
     for row in _read_jsonl(base / "content.jsonl"):
-        postings = content._terms.setdefault(  # noqa: SLF001 - snapshot restore
-            row["term"], PostingsList()
-        )
-        for uri, positions in row["postings"]:
-            doc = content.doc_of(uri)
-            if doc is None:  # pragma: no cover - defensive
-                continue
-            for position in positions:
-                postings.add(doc, position)
-    # restore document lengths
-    for uri, length in doc_lengths.items():
-        doc = content.doc_of(uri)
-        if doc is not None:
-            content._doc_lengths[doc] = length  # noqa: SLF001
+        # one bulk build per term (defensive: a uri with no content_docs
+        # row is skipped)
+        positions = {docs[uri]: doc_positions
+                     for uri, doc_positions in row["postings"] if uri in docs}
+        merged = terms.get(row["term"])  # merge=True: keep the other docs
+        if merged is not None:
+            positions.update((p.doc, p.positions) for p in merged)
+        terms[row["term"]] = PostingsList(positions)
 
     for row in _read_jsonl(base / "tuples.jsonl"):
         values = {k: decode_value(v) for k, v in row["values"].items()}

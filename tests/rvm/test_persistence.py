@@ -9,6 +9,7 @@ from repro.imapsim import Attachment, EmailMessage, ImapServer
 from repro.imapsim.latency import no_latency
 from repro.query import QueryProcessor
 from repro.rvm import ResourceViewManager, default_content_converter
+from repro.rvm.keyset import SPARSE_MAX
 from repro.rvm.persistence import load_state, save_state
 from repro.rvm.plugins import FilesystemPlugin, ImapPlugin
 from repro.vfs import VirtualFileSystem
@@ -116,6 +117,54 @@ class TestRoundTrip:
         loaded = [h.uri for h in ranked_search(restored, "database",
                                                limit=5)]
         assert original == loaded
+
+
+def _content_state(content):
+    return {
+        term: (content.postings(term).doc_ids(),
+               {content.key_of(p.doc): p.positions
+                for p in content.postings(term)})
+        for term in content.terms_matching(lambda term: True)
+    }, {content.key_of(doc): content.doc_length(doc)
+        for doc in content.all_doc_ids()}
+
+
+class TestContentPostingsRoundTrip:
+    def test_postings_positions_and_lengths_including_a_dense_term(
+            self, tmp_path):
+        """Every postings list is bulk-built on load. "common" is in
+        more than twice SPARSE_MAX documents with consecutive ids, so
+        one 65 536-wide chunk of its doc set holds more than SPARSE_MAX
+        of them: the load packs a dense chunk."""
+        rvm = ResourceViewManager()
+        content = rvm.indexes.content_index
+        for i in range(2 * SPARSE_MAX + 8):
+            content.add(f"fs:///dense/{i}",
+                        f"common w{i % 7} common x{i % 3} " * (1 + i % 2))
+        save_state(rvm, tmp_path)
+        restored = ResourceViewManager()
+        load_state(restored, tmp_path)
+        loaded = restored.indexes.content_index
+
+        assert loaded.postings("common").doc_set().chunk_layout()["dense"] >= 1
+        assert loaded.postings("common").doc_set() \
+            == content.postings("common").doc_set()
+        assert _content_state(loaded) == _content_state(content)
+        assert loaded.postings("common").get(
+            loaded.doc_of("fs:///dense/1")).positions == [0, 2, 4, 6]
+        assert loaded.size_bytes() == content.size_bytes()
+
+    def test_merge_keeps_the_documents_outside_the_snapshot(self, tmp_path):
+        rvm = ResourceViewManager()
+        rvm.indexes.content_index.add("fs:///snap/a", "shared alpha shared")
+        save_state(rvm, tmp_path)
+        live = ResourceViewManager()
+        content = live.indexes.content_index
+        content.add("fs:///live/b", "beta shared")
+        load_state(live, tmp_path, merge=True)
+        assert {content.key_of(p.doc): p.positions
+                for p in content.postings("shared")} \
+            == {"fs:///snap/a": [0, 2], "fs:///live/b": [1]}
 
 
 class TestErrors:

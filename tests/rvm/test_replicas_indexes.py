@@ -126,6 +126,25 @@ class TestTextSniffer:
         blob = ("\x00" * 80) + ("a" * 20)
         assert not _looks_like_text(blob)
 
+    def test_threshold_is_inclusive(self):
+        # 7 of 10 printable is exactly the 0.7 threshold; 69 of 100 is not
+        assert _looks_like_text("a" * 7 + "\x00" * 3)
+        assert not _looks_like_text("a" * 69 + "\x00" * 31)
+        assert not _looks_like_text("a" * 7 + "\x00" * 3, threshold=0.71)
+
+    def test_tabs_and_newlines_count_as_text(self):
+        # none of "\t\n\r" is printable, yet all three count as text
+        assert not any(ch.isprintable() for ch in "\t\n\r")
+        assert _looks_like_text("\t\n\r" * 200)
+        # 5 control whitespace + 2 printable vs 3 NULs: 0.7, accepted
+        assert _looks_like_text("\t\n\r\n\tab\x00\x00\x00")
+        # a vertical tab is neither printable nor one of the three
+        assert not _looks_like_text("\v" * 7 + "ab\x00")
+
+    def test_only_the_window_is_sniffed(self):
+        assert _looks_like_text("a" * 512 + "\x00" * 10_000)
+        assert not _looks_like_text("\x00" * 512 + "a" * 10_000)
+
 
 class TestIndexSet:
     def _file(self, path="/f.txt", name="f.txt", text="database notes",

@@ -90,6 +90,65 @@ class TestIndexWrites:
         assert index.doc_length(index.doc_of("d1")) == 8
 
 
+class _PublishOrderSpy:
+    """Stands in for a postings list's doc set and checks, on every
+    write, what a concurrent reader of that set would find: each doc in
+    the set must have its posting — already complete when it joins,
+    still there when it leaves."""
+
+    def __init__(self, docs, by_doc):
+        self._docs, self._by_doc = docs, by_doc
+        #: doc -> its positions at the moment it joined the set
+        self.published = {}
+
+    def add(self, doc):
+        assert doc in self._by_doc, "doc joined the set before its posting"
+        self.published[doc] = list(self._by_doc[doc].positions)
+        return self._docs.add(doc)
+
+    def discard(self, doc):
+        assert doc in self._by_doc, "posting dropped before its doc left"
+        return self._docs.discard(doc)
+
+    def __getattr__(self, name):
+        return getattr(self._docs, name)
+
+
+class TestPostingsPublishOrder:
+    """One writer, many readers (DESIGN.md §4j): ``PostingsList``
+    iteration — what ``score_tfidf`` runs — walks the doc set and looks
+    each doc up in the posting map, so a ranked read during
+    ``refresh()`` must never find a doc without its posting."""
+
+    def test_posting_is_complete_before_its_doc_is_visible(self,
+                                                           monkeypatch):
+        from repro.fulltext import index as index_module
+        from repro.fulltext.postings import PostingsList
+
+        spies = []
+
+        class SpiedPostings(PostingsList):
+            __slots__ = ()
+
+            def __init__(self):
+                super().__init__()
+                self._docs = _PublishOrderSpy(self._docs, self._by_doc)
+                spies.append(self._docs)
+
+        monkeypatch.setattr(index_module, "PostingsList", SpiedPostings)
+        idx = InvertedIndex()
+        idx.add("spy1", "tuning database tuning tuning")
+        doc = idx.doc_of("spy1")
+        # each posting became visible holding every position it will hold
+        assert [spy.published for spy in spies] == [{doc: [0, 2, 3]},
+                                                    {doc: [1]}]
+        idx.add("spy2", "database")
+        idx.add("spy1", "database again")  # re-add: leaves, then rejoins
+        assert idx.remove("spy1")
+        assert idx.remove("spy2")
+        assert idx.term_count == 0
+
+
 class TestQueries:
     def test_term(self, index):
         assert search(index, "database") == {"d1", "d2"}
