@@ -1,9 +1,8 @@
-"""Benchmarks for the infrastructure extensions: persistence snapshots,
-standing-query throughput, and ranked search."""
+"""Benchmarks for the infrastructure extensions: persistence snapshots
+and ranked search."""
 
 import pytest
 
-from repro.query.standing import StandingQueries
 from repro.query.ranking import ranked_search
 from repro.rvm import ResourceViewManager
 from repro.rvm.persistence import load_state, save_state
@@ -40,28 +39,6 @@ class TestPersistence:
         print(f"\nsnapshot bytes={on_disk} accounted bytes={accounted}")
         assert on_disk > 0
         assert 0.05 < on_disk / accounted < 20
-
-
-class TestStandingQueryThroughput:
-    def test_event_matching_rate(self, harness, benchmark):
-        """Events per second through 20 registered standing queries."""
-        rvm = harness.dataspace.rvm
-        standing = StandingQueries(rvm.bus)
-        for index in range(20):
-            standing.register(f'"term{index}" and "database"',
-                              lambda n: None)
-        views = list(rvm.sync.live_views.values())[:200]
-        from repro.pushops import ChangeEvent, ChangeKind, ComponentKind
-
-        def pump():
-            for view in views:
-                rvm.bus.publish(ChangeEvent(
-                    view.view_id, ComponentKind.CONTENT,
-                    ChangeKind.ADDED, payload=view,
-                ))
-            return len(views)
-
-        assert benchmark.pedantic(pump, rounds=3, iterations=1) == 200
 
 
 class TestRankedSearch:

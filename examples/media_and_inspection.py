@@ -2,8 +2,6 @@
 
 * similarity search over pseudo-images with the histogram content index
   (the QBIC-style index the paper cites as a non-text content index);
-* standing queries: get notified the moment matching data enters the
-  dataspace;
 * DOT / GraphML export of resource view graphs.
 
 Run:  python examples/media_and_inspection.py
@@ -11,7 +9,6 @@ Run:  python examples/media_and_inspection.py
 
 from repro.core.graph import to_dot, to_graphml
 from repro.facade import Dataspace
-from repro.query.standing import StandingQueries
 from repro.rvm import IndexingPolicy
 from repro.vfs import VirtualFileSystem
 
@@ -44,24 +41,6 @@ for probe in ("fs:///Pictures/sunset_beach.jpg",
     print(f"\nmost similar to {probe.rsplit('/', 1)[-1]}:")
     for uri, score in neighbors:
         print(f"  {score:.3f}  {uri.rsplit('/', 1)[-1]}")
-
-print()
-print("=" * 70)
-print("Standing queries: information filters over the change stream")
-print("=" * 70)
-ds.watch()
-standing = StandingQueries(ds.rvm.bus)
-standing.register(
-    '"vacation"',
-    lambda notification: print(
-        f"  !! matched {notification.view.name} "
-        f"(standing query: {notification.query})"
-    ),
-)
-print("registered standing query '\"vacation\"'; writing two files ...")
-fs.write_file("/Pictures/plan.txt", "vacation plan for the summer")
-fs.write_file("/Pictures/other.txt", "unrelated text")
-ds.refresh()
 
 print()
 print("=" * 70)

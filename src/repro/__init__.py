@@ -10,20 +10,20 @@ The package mirrors the iMeMex PDSMS architecture:
   (files&folders, relational, XML, LaTeX, streams, email, ActiveXML).
 * substrates — :mod:`repro.xmlp`, :mod:`repro.latexp`, :mod:`repro.vfs`,
   :mod:`repro.imapsim`, :mod:`repro.rss`, :mod:`repro.fulltext`,
-  :mod:`repro.store`, :mod:`repro.tupleindex`, :mod:`repro.pushops`.
+  :mod:`repro.tupleindex`, :mod:`repro.pushops`.
 * :mod:`repro.rvm` — the Resource View Manager (plugins, converters,
-  catalog, replicas & indexes, synchronization).
+  catalog, replicas & indexes, synchronization, snapshots).
 * :mod:`repro.query` — the iQL query language and its processor.
 * :mod:`repro.dataset` — the synthetic personal-dataspace generator used
   by the evaluation harness.
 * :mod:`repro.bench` — helpers that regenerate the paper's tables and
   figures.
-* extensions the paper names as future work — :mod:`repro.p2p`
-  (federated networks of instances), :mod:`repro.mediaindex`
-  (histogram similarity for non-text content), :mod:`repro.apps`
-  (reference reconciliation, clustering), :mod:`repro.cli`
-  (``python -m repro``), plus ranking, standing queries and snapshots
-  inside :mod:`repro.query` / :mod:`repro.rvm`.
+* beyond the paper — :mod:`repro.mediaindex` (histogram similarity
+  for non-text content), :mod:`repro.cli` (``python -m repro``) and
+  ranking inside :mod:`repro.query`; the serving stack
+  (:mod:`repro.service`, :mod:`repro.durability`,
+  :mod:`repro.supervise`, :mod:`repro.resilience`, :mod:`repro.obs`,
+  :mod:`repro.trace`) is listed in DESIGN.md.
 
 Quickstart::
 

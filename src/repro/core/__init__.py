@@ -1,5 +1,5 @@
 """The iMeMex Data Model (iDM) core: resource views, components, classes,
-graph utilities, laziness, intensional data, versioning and lineage."""
+graph utilities, laziness and intensional data."""
 
 from .components import (
     ANY,
@@ -34,11 +34,9 @@ from .errors import (
     GraphError,
     IdmError,
     InfiniteComponentError,
-    LineageError,
     ParseError,
     QueryError,
     SchemaError,
-    VersioningError,
 )
 from .graph import (
     children,
@@ -62,9 +60,7 @@ from .intensional import (
     intensional_view,
 )
 from .lazy import CountingProvider, LazyValue
-from .lineage import Derivation, LineageTracker
 from .resource_view import ResourceView, view
-from .versioning import VersionStore, ViewRecord
 
 __all__ = [
     "ANY", "BOOLEAN", "BYTES", "DATE", "FLOAT", "INTEGER", "STRING",
@@ -73,8 +69,7 @@ __all__ = [
     "BUILTIN_REGISTRY", "ClassRegistry", "Emptiness", "Finiteness",
     "ResourceViewClass", "W_FS", "W_FS_FULL", "build_builtin_registry",
     "ClassConformanceError", "ComponentError", "GraphError", "IdmError",
-    "InfiniteComponentError", "LineageError", "ParseError", "QueryError",
-    "SchemaError", "VersioningError",
+    "InfiniteComponentError", "ParseError", "QueryError", "SchemaError",
     "children", "collect_index", "count_views", "descendants", "find",
     "find_by_name", "has_cycle", "is_indirectly_related", "paths_between",
     "to_dot", "traverse",
@@ -82,7 +77,5 @@ __all__ = [
     "IntensionalContent", "IntensionalGroup", "ServiceError",
     "ServiceRegistry", "intensional_view",
     "CountingProvider", "LazyValue",
-    "Derivation", "LineageTracker",
     "ResourceView", "view",
-    "VersionStore", "ViewRecord",
 ]

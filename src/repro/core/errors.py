@@ -97,18 +97,8 @@ class StaleDictionaryError(QueryExecutionError):
 
 
 class StoreError(IdmError):
-    """Base class for the embedded relational store."""
-
-
-class TableError(StoreError):
-    """A table-level failure (duplicate key, unknown column, ...)."""
-
-
-class IndexError_(StoreError):
-    """An index-level failure in the embedded store.
-
-    Named with a trailing underscore to avoid shadowing the builtin.
-    """
+    """A saved RVM snapshot is missing, of another version, malformed, or
+    would be loaded into an RVM that already holds state."""
 
 
 class FullTextError(IdmError):
@@ -180,14 +170,6 @@ class FeedError(DataSourceError):
 
 class SyncError(IdmError):
     """The synchronization manager hit an unrecoverable inconsistency."""
-
-
-class VersioningError(IdmError):
-    """Dataspace versioning failure (unknown version, conflict, ...)."""
-
-
-class LineageError(IdmError):
-    """Lineage tracking failure (unknown view, cyclic derivation, ...)."""
 
 
 class ServiceError(IdmError):

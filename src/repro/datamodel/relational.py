@@ -6,8 +6,7 @@
 * a database → a ``reldb`` view: named, with one relation view per
   relation in ``S``.
 
-The instantiations take plain schemas/rows or a
-:class:`~repro.store.Table` of the embedded store.
+The instantiations take plain schemas and rows.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from typing import Any, Iterable, Sequence
 from ..core.components import Schema, TupleComponent
 from ..core.identity import ViewId
 from ..core.resource_view import ResourceView
-from ..store.table import Table
 
 
 def tuple_to_view(schema: Schema, values: Sequence[Any], *,
@@ -62,30 +60,3 @@ def database_to_view(name: str, relations: Iterable[ResourceView], *,
         view_id=view_id if view_id is not None else ViewId("rel", f"db/{name}"),
     )
 
-
-def table_to_view(table: Table, *,
-                  view_id: ViewId | None = None) -> ResourceView:
-    """Expose a table of the embedded store as a ``relation`` view.
-
-    Lazily enumerates rows at group-component access time, so the view
-    reflects the table's current contents (extensional data served
-    straight from the store).
-    """
-    base_id = view_id if view_id is not None else ViewId("rel", table.name)
-    schema = Schema(table.schema.names)
-
-    def group_provider() -> list[ResourceView]:
-        views = []
-        for index, record in enumerate(table.scan()):
-            views.append(tuple_to_view(
-                schema, tuple(record[c] for c in table.schema.names),
-                view_id=base_id.child(f"t{index}"),
-            ))
-        return views
-
-    return ResourceView(
-        name=table.name,
-        group=group_provider,
-        class_name="relation",
-        view_id=base_id,
-    )

@@ -35,10 +35,14 @@ from ..core.components import GroupComponent, TupleComponent, ViewSequence
 from ..core.errors import DurabilityError
 from ..core.identity import ViewId
 from ..core.resource_view import ResourceView
+from ..rvm.catalog import malformed_fields
 from ..rvm.persistence import StubView, decode_value, encode_value
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..rvm.manager import ResourceViewManager
+
+#: A ``cat`` payload's keys, in the order ``malformed_fields`` checks.
+_PAYLOAD_KEYS = ("uri", "name", "class", "kind", "size", "children")
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,6 +65,10 @@ class CatalogUpsert:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CatalogUpsert":
+        bad = malformed_fields(payload, _PAYLOAD_KEYS)
+        if bad:
+            raise DurabilityError(f"malformed WAL catalog record: "
+                                  f"bad {', '.join(bad)} in {payload!r}")
         return cls(uri=payload["uri"], name=payload["name"],
                    class_name=payload["class"], kind=payload["kind"],
                    size=payload["size"], child_count=payload["children"])

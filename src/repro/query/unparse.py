@@ -1,8 +1,7 @@
 """Serializing iQL ASTs back to query text.
 
 ``parse_iql(unparse(ast))`` reproduces the AST — the property the
-round-trip tests assert. Useful for logging optimized/rewritten queries,
-shipping queries between peers, and persisting standing queries.
+round-trip tests assert, with this module as their oracle.
 """
 
 from __future__ import annotations

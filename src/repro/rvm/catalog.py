@@ -1,15 +1,16 @@
 """The Resource View Catalog.
 
 "All resource views managed are registered in that catalog." iMeMex
-implements it on Apache Derby; we implement it on the embedded
-relational store (:mod:`repro.store`): one table keyed by URI. Name,
-class and authority are each indexed once, as buckets of catalog-id
-:class:`~repro.rvm.keyset.KeySet` s — the form the query engine
-consumes. The distinct names are additionally kept *ordered*
-(:class:`NameDictionary`), so a wildcard name test matches values, not
-rows. The catalog stores *metadata only* — components live in their
-replicas/indexes — and its size contributes the "RV Catalog" column of
-Table 3.
+implements it on Apache Derby; what we reproduce is Derby's *size
+report* (Table 3), not Derby, so the records live in a plain dict keyed
+by URI and :meth:`ResourceViewCatalog.size_bytes` accounts for them as
+rows of a heap table would. Name, class and authority are each indexed
+once, as buckets of catalog-id :class:`~repro.rvm.keyset.KeySet` s —
+the form the query engine consumes. The distinct names are additionally
+kept *ordered* (:class:`NameDictionary`), so a wildcard name test
+matches values, not rows. The catalog stores *metadata only* —
+components live in their replicas/indexes — and its size contributes
+the "RV Catalog" column of Table 3.
 """
 
 from __future__ import annotations
@@ -21,9 +22,18 @@ from typing import Iterable, Iterator
 
 from ..core.identity import ViewId
 from ..core.resource_view import ResourceView
-from ..store import Column, Database, INT, TEXT
 from .keyset import KeySet
 from .uridict import global_uri_dictionary
+
+#: A record's bytes besides its text: an 8-byte row header, 4 bytes of
+#: length for each of the five text fields, 8 for each of the two int
+#: fields, and a 24-byte primary-key entry.
+_RECORD_FIXED_BYTES = 8 + 5 * 4 + 2 * 8 + 24
+
+#: What a record's fields must be when they come from outside the
+#: process (a checkpoint row, a WAL payload): uri, name, class and kind
+#: text, size and child count ints — a bool is not an int.
+_FIELD_TYPES = (str, str, str, str, int, int)
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,6 +51,21 @@ class CatalogRecord:
     @property
     def view_id(self) -> ViewId:
         return ViewId.parse(self.uri)
+
+    def size_bytes(self) -> int:
+        """The record as a heap-table row: the fixed bytes plus the
+        UTF-8 length of each text field."""
+        return _RECORD_FIXED_BYTES + sum(
+            len(text.encode("utf-8", "replace"))
+            for text in (self.uri, self.name, self.class_name,
+                         self.authority, self.kind))
+
+
+def malformed_fields(row: dict, keys: tuple[str, ...]) -> list[str]:
+    """The ``keys`` of ``row`` — uri, name, class, kind, size and child
+    count, in that order — that are missing or not of their type."""
+    return [key for key, wanted in zip(keys, _FIELD_TYPES, strict=True)
+            if type(row.get(key)) is not wanted]
 
 
 #: Joins the names of :attr:`NameDictionary._text`. Any character would
@@ -120,23 +145,13 @@ class NameDictionary:
 
 
 class ResourceViewCatalog:
-    """The catalog table plus typed accessors."""
+    """The catalog records plus typed accessors."""
 
     def __init__(self) -> None:
-        self._db = Database("rv_catalog")
-        self._table = self._db.create_table(
-            "views",
-            [
-                Column("uri", TEXT, nullable=False),
-                Column("name", TEXT),
-                Column("class_name", TEXT),
-                Column("authority", TEXT),
-                Column("kind", TEXT),
-                Column("size", INT),
-                Column("child_count", INT),
-            ],
-            primary_key="uri",
-        )
+        # one record per URI, in registration order: a re-registered URI
+        # keeps its place, an unregistered one that comes back goes to
+        # the end. That order is all_records()'s and a checkpoint's.
+        self._records: dict[str, CatalogRecord] = {}
         # the secondary indexes: compressed id sets the query engine
         # consumes directly (catalog scans, name/class/authority lookups)
         # with no per-URI string work. Ids are derived state — rebuilt on
@@ -167,20 +182,8 @@ class ResourceViewCatalog:
             size=size,
             child_count=child_count,
         )
-        row = {
-            "uri": record.uri,
-            "name": record.name,
-            "class_name": record.class_name,
-            "authority": record.authority,
-            "kind": record.kind,
-            "size": record.size,
-            "child_count": record.child_count,
-        }
-        old = self._table.get(record.uri)
-        if old is not None:
-            self._table.update(record.uri, row)
-        else:
-            self._table.insert(row)
+        old = self._records.get(record.uri)
+        self._records[record.uri] = record
         # every registered view is interned: sync, snapshot load and WAL
         # recovery all pass here, so the engine's integer batches always
         # have a dictionary entry (ids are derived state — never saved,
@@ -196,14 +199,13 @@ class ResourceViewCatalog:
 
     def unregister(self, view_id: ViewId | str) -> bool:
         uri = view_id if isinstance(view_id, str) else view_id.uri
-        row = self._table.get(uri)
-        if not self._table.delete(uri):
+        record = self._records.pop(uri, None)
+        if record is None:
             return False
         interned = global_uri_dictionary().id_of(uri)
         if interned is not None:
             self._ids.discard(interned)
-            if row is not None:
-                self._drop_from_buckets(interned, row)
+            self._drop_from_buckets(interned, record)
         return True
 
     def _bucket(self, buckets: dict[str, KeySet], key: str) -> KeySet:
@@ -214,10 +216,10 @@ class ResourceViewCatalog:
                 self._name_epoch += 1
         return keyset
 
-    def _drop_from_buckets(self, view_id: int, row: dict) -> None:
-        for buckets, key in ((self._ids_by_name, row["name"]),
-                             (self._ids_by_class, row["class_name"]),
-                             (self._ids_by_authority, row["authority"])):
+    def _drop_from_buckets(self, view_id: int, record: CatalogRecord) -> None:
+        for buckets, key in ((self._ids_by_name, record.name),
+                             (self._ids_by_class, record.class_name),
+                             (self._ids_by_authority, record.authority)):
             keyset = buckets.get(key)
             if keyset is not None:
                 keyset.discard(view_id)
@@ -230,18 +232,20 @@ class ResourceViewCatalog:
 
     def __contains__(self, view_id: object) -> bool:
         uri = view_id.uri if isinstance(view_id, ViewId) else view_id
-        return self._table.get(uri) is not None
+        return uri in self._records
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._records)
 
     def get(self, view_id: ViewId | str) -> CatalogRecord | None:
         uri = view_id if isinstance(view_id, str) else view_id.uri
-        row = self._table.get(uri)
-        return self._record(row) if row is not None else None
+        return self._records.get(uri)
 
     def all_records(self) -> Iterator[CatalogRecord]:
-        return (self._record(row) for row in self._table.scan())
+        """Every record in registration order, from a snapshot taken in
+        one interpreter-lock-held call (a register beside the reader
+        cannot resize the dict under it)."""
+        return iter(list(self._records.values()))
 
     def all_uris(self) -> list[str]:
         """Every registered URI in dictionary sort-key order.
@@ -251,7 +255,7 @@ class ResourceViewCatalog:
         dictionary's sort keys. Catalog scans can therefore bind their
         key column straight off this list without re-sorting.
         """
-        return sorted(row["uri"] for row in self._table.scan())
+        return sorted(self._records)
 
     # id-space lookups (the engine's zero-copy path) --------------------------
 
@@ -302,25 +306,19 @@ class ResourceViewCatalog:
         keyset = self._ids_by_authority.get(authority)
         return keyset.copy() if keyset is not None else KeySet()
 
-    @staticmethod
-    def _record(row: dict) -> CatalogRecord:
-        return CatalogRecord(
-            uri=row["uri"], name=row["name"], class_name=row["class_name"],
-            authority=row["authority"], kind=row["kind"], size=row["size"],
-            child_count=row["child_count"],
-        )
-
     # -- statistics -----------------------------------------------------------------
 
     def size_bytes(self) -> int:
+        """Table 3's "RV Catalog": the records, the keysets and the name
+        dictionary."""
+        records = sum(record.size_bytes() for record in self.all_records())
         keysets = self._ids.size_bytes() + sum(
             ks.size_bytes()
             for buckets in (self._ids_by_name, self._ids_by_class,
                             self._ids_by_authority)
             for ks in buckets.values()
         )
-        return (self._db.size_bytes() + keysets
-                + self.name_dictionary().size_bytes())
+        return records + keysets + self.name_dictionary().size_bytes()
 
     def counts_by_authority(self) -> dict[str, int]:
         return {authority: len(keyset)

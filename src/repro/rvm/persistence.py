@@ -46,9 +46,13 @@ from ..core.components import TupleComponent
 from ..core.errors import StoreError
 from ..core.identity import ViewId
 from ..core.resource_view import ResourceView
+from .catalog import malformed_fields
 from .manager import ResourceViewManager
 
 FORMAT_VERSION = 1
+
+#: A catalog.jsonl row's keys, in the order ``malformed_fields`` checks.
+_CATALOG_KEYS = ("uri", "name", "class_name", "kind", "size", "child_count")
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +274,10 @@ def load_state(rvm: ResourceViewManager, directory: str | Path, *,
         )
 
     for row in _read_jsonl(base / "catalog.jsonl"):
+        bad = malformed_fields(row, _CATALOG_KEYS)
+        if bad:
+            raise StoreError(f"malformed catalog row in {base}: "
+                             f"bad {', '.join(bad)} in {row!r}")
         view = ResourceView(
             row["name"], class_name=row["class_name"] or None,
             view_id=ViewId.parse(row["uri"]),

@@ -176,7 +176,7 @@ class DataspaceService:
         self.cache_results = cache_results
         #: per-query tracing: each executed query runs under a
         #: TraceCollector whose per-operator aggregates and substrate
-        #: counters are folded into the metrics registry (``trace.*``)
+        #: counters are folded into the metrics registry (``query.*``)
         self.trace_queries = trace_queries
         self.default_deadline = default_deadline
         self.admission = AdmissionController(max_queue_depth=max_queue_depth)
@@ -462,19 +462,19 @@ class DataspaceService:
     def _fold_trace(self, trace) -> None:
         """Aggregate one query's trace into the shared registry: per
         plan-operator call/row counts and inclusive latency histograms
-        (``trace.op.*``) plus the substrate/laziness counters
-        (``trace.ctx.*``, ``trace.component.*``) — the serve-side view
+        (``query.op.*``) plus the substrate/laziness counters
+        (``query.ctx.*``, ``query.component.*``) — the serve-side view
         of EXPLAIN ANALYZE, exposed through :meth:`stats` alongside the
         end-to-end p50/p95/p99."""
         for operator, agg in trace.aggregates().items():
-            self.metrics.increment(f"trace.op.{operator}.calls",
+            self.metrics.increment(f"query.op.{operator}.calls",
                                    int(agg["calls"]))
-            self.metrics.increment(f"trace.op.{operator}.rows",
+            self.metrics.increment(f"query.op.{operator}.rows",
                                    int(agg["rows"]))
-            self.metrics.observe(f"trace.op.{operator}.seconds",
+            self.metrics.observe(f"query.op.{operator}.seconds",
                                  agg["seconds"])
         for name, value in trace.counters.items():
-            self.metrics.increment(f"trace.{name}", value)
+            self.metrics.increment(f"query.{name}", value)
 
     def _count_failure(self, error: BaseException,
                        tenant: str | None = None) -> None:
@@ -489,18 +489,11 @@ class DataspaceService:
     def stats(self, *, include_global: bool = True) -> dict[str, object]:
         """Counters, cache sizes and latency snapshots in one dict.
 
-        Legacy flat keys (``queries.served``, ``trace.op.*``,
-        ``resilience.<authority>.<key>``) are kept for one release;
-        each also appears under the dotted convention (``query.op.*``,
-        ``resilience.source.<authority>.<key>`` — the alias table lives
-        in DESIGN.md §4f). With ``include_global`` the process-global
-        telemetry snapshot is folded in, never overriding a
-        service-local key.
+        Per-source health is ``resilience.source.<authority>.<key>``.
+        With ``include_global`` the process-global telemetry snapshot is
+        folded in, never overriding a service-local key.
         """
         report = self.metrics.snapshot()
-        # dotted-convention aliases for the serve-side trace fold
-        for name in [n for n in report if n.startswith("trace.")]:
-            report.setdefault("query." + name[len("trace."):], report[name])
         report["cache.result.size"] = len(self.result_cache)
         report["cache.plan.size"] = len(self.plan_cache)
         report["queue.depth"] = self.admission.depth
@@ -513,7 +506,6 @@ class DataspaceService:
             for authority, row in health.items():
                 for key in ("state", "retries", "failures",
                             "short_circuits", "times_opened"):
-                    report[f"resilience.{authority}.{key}"] = row[key]
                     report[f"resilience.source.{authority}.{key}"] = row[key]
         if include_global:
             for name, value in obs.global_metrics().snapshot().items():

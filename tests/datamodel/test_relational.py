@@ -5,10 +5,8 @@ from repro.core.components import Schema
 from repro.datamodel.relational import (
     database_to_view,
     relation_to_view,
-    table_to_view,
     tuple_to_view,
 )
-from repro.store import Column, Database, INT, TEXT
 
 SCHEMA = Schema(["name", "dept"])
 ROWS = [("alice", "db"), ("bob", "os"), ("carol", "db")]
@@ -61,27 +59,3 @@ class TestDatabaseView:
         db = database_to_view("company", [emp])
         assert BUILTIN_REGISTRY.conforms(db)
 
-
-class TestTableBridge:
-    def test_reflects_live_table(self):
-        db = Database()
-        table = db.create_table(
-            "emp", [Column("name", TEXT), Column("age", INT)],
-            primary_key="name",
-        )
-        table.insert({"name": "alice", "age": 30})
-        view = table_to_view(table)
-        assert len(list(view.group)) == 1
-        # lazy: the group is computed at access, but memoized afterwards;
-        # a fresh bridge view sees new rows
-        table.insert({"name": "bob", "age": 40})
-        fresh = table_to_view(table)
-        assert len(list(fresh.group)) == 2
-
-    def test_tuple_values_match_rows(self):
-        db = Database()
-        table = db.create_table("t", [Column("x", INT)], primary_key="x")
-        table.insert({"x": 7})
-        view = table_to_view(table)
-        member = next(iter(view.group))
-        assert member.tuple_component["x"] == 7

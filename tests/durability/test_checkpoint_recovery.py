@@ -149,6 +149,16 @@ class TestRecovery:
                 [{"t": "name", "uri": "fs:///new", "name": "new"}])
             assert lsn == tail + 1
 
+    def test_malformed_catalog_payload_refused(self, tmp_path):
+        dataspace = durable_tiny(tmp_path / "space")
+        dataspace.sync()
+        dataspace.durability.wal.append(
+            [{"t": "cat", "uri": "fs:///new", "name": "new", "class": "file",
+              "kind": "base", "size": "big", "children": 0}])
+        dataspace.close()
+        with pytest.raises(DurabilityError, match="size"):
+            Dataspace.open(tmp_path / "space", durable=False)
+
     def test_policy_mismatch_refused(self, tmp_path):
         dataspace = durable_tiny(tmp_path / "space")
         dataspace.sync()

@@ -149,17 +149,16 @@ class TestServiceStatsAliases:
         with dataspace.serve(workers=1, trace_queries=True) as service:
             service.execute('"database"', use_cache=False)
             stats = service.stats()
-        assert stats["trace.op.ContentSearch.calls"] >= 1  # legacy
-        assert (stats["query.op.ContentSearch.calls"]
-                == stats["trace.op.ContentSearch.calls"])
+        assert stats["query.op.ContentSearch.calls"] >= 1
+        assert not any(name.startswith("trace.") for name in stats)
 
     def test_resilience_keys_alias_to_source_namespace(self):
         dataspace = build_dataspace()
         with dataspace.serve(workers=1) as service:
             service.execute("/*")
             stats = service.stats()
-        assert stats["resilience.imap.state"] == "closed"  # legacy
         assert stats["resilience.source.imap.state"] == "closed"
+        assert "resilience.imap.state" not in stats
 
     def test_global_snapshot_folds_into_stats(self):
         dataspace = build_dataspace()

@@ -65,9 +65,9 @@ class TestDegradedService:
                 service.execute(ROOTS)
             stats = service.stats()
             assert stats["resilience.sources_down"] == "imap"
-            assert stats["resilience.imap.state"] == "open"
-            assert stats["resilience.imap.failures"] >= 5
-            assert stats["resilience.fs.state"] == "closed"
+            assert stats["resilience.source.imap.state"] == "open"
+            assert stats["resilience.source.imap.failures"] >= 5
+            assert stats["resilience.source.fs.state"] == "closed"
             assert stats["queries.degraded"] == 5
 
     def test_healthy_service_reports_no_sources_down(self, dataspace):

@@ -110,3 +110,54 @@ class TestSizeAccounting:
         for index in range(100):
             catalog.register(_view(f"v{index}"), kind="base")
         assert catalog.size_bytes() > empty
+
+    def test_size_is_the_table3_formula(self):
+        """Table 3's catalog column, by hand: a record is 8 bytes, plus
+        UTF-8 length + 4 for each of uri, name, class, authority and
+        kind, plus 8 for each of size and child count, plus 24 of key."""
+        catalog = ResourceViewCatalog()
+        catalog.register(_view("a.txt", "/a.txt", "file"), kind="base",
+                         size=10, child_count=0)
+        catalog.register(_view("Zürich", "/z", "folder"), kind="base",
+                         child_count=2)
+        catalog.register(_view("intro", "/p.tex#s1"), kind="derived")
+        fixed = 8 + 5 * 4 + 2 * 8 + 24
+        records = ((fixed + len("fs:///a.txt") + len("a.txt") + len("file")
+                    + len("fs") + len("base"))
+                   + (fixed + len("fs:///z") + len("Zürich".encode())
+                      + len("folder") + len("fs") + len("base"))
+                   + (fixed + len("fs:///p.tex#s1") + len("intro") + 0
+                      + len("fs") + len("derived")))
+        assert records == 94 + 94 + 96
+        # the sorted distinct names in one "\n"-joined string, plus an
+        # offset per name and one past the end, plus a pointer per name
+        names = len("Zürich\na.txt\nintro".encode()) + 8 * 4 + 8 * 3
+        keysets = sum(keyset.size_bytes() for keyset in (
+            catalog.all_ids(),
+            catalog.ids_by_name("a.txt"), catalog.ids_by_name("Zürich"),
+            catalog.ids_by_name("intro"),
+            catalog.ids_by_class("file"), catalog.ids_by_class("folder"),
+            catalog.ids_by_class(""),
+            catalog.ids_by_authority("fs"),
+        ))
+        assert catalog.size_bytes() == records + names + keysets
+
+
+class TestRecordOrder:
+    """all_records() order is a checkpoint's catalog.jsonl order."""
+
+    def test_reregister_keeps_its_place(self):
+        catalog = ResourceViewCatalog()
+        for name in ("a", "b", "c"):
+            catalog.register(_view(name), kind="base")
+        catalog.register(_view("a"), kind="base", size=99)
+        assert [r.name for r in catalog.all_records()] == ["a", "b", "c"]
+        assert catalog.get("fs:///a").size == 99
+
+    def test_unregister_then_register_moves_to_the_end(self):
+        catalog = ResourceViewCatalog()
+        for name in ("a", "b", "c"):
+            catalog.register(_view(name), kind="base")
+        catalog.unregister("fs:///a")
+        catalog.register(_view("a"), kind="base")
+        assert [r.name for r in catalog.all_records()] == ["b", "c", "a"]

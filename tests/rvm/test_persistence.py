@@ -1,5 +1,6 @@
 """Tests for saving/loading the RVM state."""
 
+import json
 from datetime import datetime
 
 import pytest
@@ -176,6 +177,16 @@ class TestErrors:
         save_state(populated_rvm, tmp_path)
         (tmp_path / "manifest.json").write_text('{"format_version": 99}')
         with pytest.raises(StoreError):
+            load_state(ResourceViewManager(), tmp_path)
+
+    def test_load_refuses_a_hand_edited_catalog_row(self, populated_rvm,
+                                                    tmp_path):
+        save_state(populated_rvm, tmp_path)
+        path = tmp_path / "catalog.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        rows[0]["size"] = "big"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(StoreError, match="size"):
             load_state(ResourceViewManager(), tmp_path)
 
     def test_load_into_non_empty_rvm_refused(self, populated_rvm, tmp_path):

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.errors import ParseError, TableError
-from repro.store.types import BLOB, type_by_name
+from repro.core.errors import ParseError
 
 
 class TestParseErrorLocations:
@@ -18,21 +17,6 @@ class TestParseErrorLocations:
 
     def test_no_location(self):
         assert str(ParseError("boom")) == "boom"
-
-
-class TestBlobType:
-    def test_accepts_bytes(self):
-        BLOB.validate(b"\x00\x01", nullable=True)
-
-    def test_rejects_str(self):
-        with pytest.raises(TableError):
-            BLOB.validate("text", nullable=True)
-
-    def test_size_varies(self):
-        assert BLOB.size_of(b"abcd") > BLOB.size_of(b"a")
-
-    def test_lookup(self):
-        assert type_by_name("blob") is BLOB
 
 
 class TestXmlWriterEdges:

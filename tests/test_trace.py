@@ -242,10 +242,10 @@ class TestServiceTraceMetrics:
             service.execute('"database"', use_cache=False)
             service.execute('"database" and size > 100', use_cache=False)
             stats = service.stats()
-        assert stats["trace.op.ContentSearch.calls"] >= 2
-        assert stats["trace.op.ContentSearch.rows"] > 0
-        assert stats["trace.op.ContentSearch.seconds"].count >= 2
-        assert stats["trace.ctx.content_search"] >= 2
+        assert stats["query.op.ContentSearch.calls"] >= 2
+        assert stats["query.op.ContentSearch.rows"] > 0
+        assert stats["query.op.ContentSearch.seconds"].count >= 2
+        assert stats["query.ctx.content_search"] >= 2
 
     def test_tracing_is_off_by_default(self, tiny_dataspace):
         with tiny_dataspace.serve(workers=1) as service:
