@@ -1,10 +1,11 @@
-"""Batched-engine benchmarks: LIMIT flatness, compressed keysets.
+"""Batched-engine benchmarks: LIMIT flatness, containment as order,
+compressed keysets.
 
 Run as a script (CI smokes ``--quick``)::
 
     PYTHONPATH=src python benchmarks/bench_engine.py --quick
 
-Two experiments (two more went with the code they measured — the
+Three experiments (two more went with the code they measured — the
 string-key vs int-key merge pipeline with the engine's string mode, the
 partitioned parallel name scan with the name dictionary; their numbers
 stay in EXPERIMENTS.md):
@@ -15,6 +16,14 @@ regex-tested. Without a limit its cost grows with the corpus; with
 ``limit=10`` planned in, ``LimitOp`` closes the scan after the first
 satisfied batch, so latency must stay flat (< 2x) while the corpus
 grows several-fold. The script *asserts* this.
+
+**Containment as order.** A descendant step over the group replica
+reads the replica's interval labels: the sources' pre-order intervals,
+closed over the few edges outside the spanning forest, with the
+candidates bisected in — no walk. Over the same corpus ladder the
+script *asserts* that Q4's ``//`` step (``//papers//*Vision``) makes
+exactly 0 ``ctx.children_of`` calls, and that Q4 itself, which
+returns the same rows at every scale, grows by less than 2x.
 
 **Compressed keysets.** The index layer stores catalog-id sets as
 roaring-style :class:`~repro.rvm.keyset.KeySet` s (DESIGN.md §4j):
@@ -32,12 +41,16 @@ import argparse
 import sys
 import time
 
-from repro.bench import format_table
+from repro.bench import PAPER_QUERIES, format_table
 from repro.facade import Dataspace
 from repro.imapsim.latency import no_latency
 
 #: The streaming scan under test: regex-matches every distinct name.
 SCAN_QUERY = "//*e*"
+
+#: Q4 of Table 4, and its descendant step on its own.
+Q4 = PAPER_QUERIES["Q4"]
+Q4_DESCENDANT_STEP = "//papers//*Vision"
 
 #: Corpus growth ladder (generator scale factors). The generator's
 #: structural floor is ~1.8k views; 0.25 yields ~12k.
@@ -59,15 +72,33 @@ def _timed(fn) -> float:
     return time.perf_counter() - start
 
 
-# -- experiment 1: LIMIT early termination ----------------------------------
-
-def bench_limit_flatness(scales) -> bool:
-    rows = []
-    views, full_ms, limit_ms = [], [], []
+def _ladder(scales) -> list[Dataspace]:
+    """One synced dataspace per scale, shared by the experiments."""
+    dataspaces = []
     for scale in scales:
         dataspace = Dataspace.generate(scale=scale, seed=42,
                                        imap_latency=no_latency())
         dataspace.sync()
+        dataspaces.append(dataspace)
+    return dataspaces
+
+
+def _flat(name: str, ms: list[float], views: list[int]) -> bool:
+    """Latency growth under 2x over the ladder (or under 1 ms)."""
+    growth = ms[-1] / ms[0]
+    if growth >= 2.0 and (ms[-1] - ms[0]) > 1.0:
+        print(f"FAIL: {name} latency grew x{growth:.1f} (>= 2x) over a "
+              f"x{views[-1] / views[0]:.1f} corpus")
+        return False
+    return True
+
+
+# -- experiment 1: LIMIT early termination ----------------------------------
+
+def bench_limit_flatness(dataspaces) -> bool:
+    rows = []
+    views, full_ms, limit_ms = [], [], []
+    for dataspace in dataspaces:
         full = _best(lambda: dataspace.query(SCAN_QUERY))
         limited = _best(lambda: dataspace.query(SCAN_QUERY, limit=LIMIT))
         views.append(dataspace.view_count)
@@ -84,18 +115,43 @@ def bench_limit_flatness(scales) -> bool:
     limit_growth = limit_ms[-1] / limit_ms[0]
     print(f"corpus x{growth:.1f}: full scan x{full_growth:.1f}, "
           f"limit {LIMIT} x{limit_growth:.1f}")
-    ok = True
-    if limit_growth >= 2.0 and (limit_ms[-1] - limit_ms[0]) > 1.0:
-        print(f"FAIL: limit-{LIMIT} latency grew x{limit_growth:.1f} "
-              f"(>= 2x) over a x{growth:.1f} corpus")
-        ok = False
+    ok = _flat(f"limit-{LIMIT}", limit_ms, views)
     if full_growth <= limit_growth:
         print("WARN: full scan did not outgrow the limited query; "
               "the corpus ladder is too shallow to show termination")
     return ok
 
 
-# -- experiment 2: compressed keysets (set algebra + scan edge) --------------
+# -- experiment 2: containment as order --------------------------------------
+
+def bench_containment(dataspaces) -> bool:
+    """Q4's ``//`` step answers off the interval labels: no walk."""
+    rows = []
+    views, q4_ms = [], []
+    ok = True
+    for dataspace in dataspaces:
+        step = dataspace.explain_analyze(Q4_DESCENDANT_STEP)
+        walked = step.trace.counters.get("ctx.children_of", 0)
+        q4 = _best(lambda: dataspace.query(Q4))
+        views.append(dataspace.view_count)
+        q4_ms.append(q4 * 1000)
+        rows.append([dataspace.view_count, len(step.result), walked,
+                     len(dataspace.query(Q4)), q4 * 1000])
+        if walked:
+            print(f"FAIL: {Q4_DESCENDANT_STEP!r} made {walked} "
+                  f"ctx.children_of calls at {dataspace.view_count} views")
+            ok = False
+    print(format_table(
+        ["views", "// step rows", "ctx.children_of", "Q4 rows", "Q4 [ms]"],
+        rows,
+        title=f"containment as order: {Q4_DESCENDANT_STEP!r} and Q4",
+    ))
+    print(f"corpus x{views[-1] / views[0]:.1f}: "
+          f"Q4 x{q4_ms[-1] / q4_ms[0]:.1f}")
+    return _flat("Q4", q4_ms, views) and ok
+
+
+# -- experiment 3: compressed keysets (set algebra + scan edge) --------------
 
 def bench_keysets(n: int, threshold: float = 1.2) -> bool:
     """Keyset algebra vs ``set[int]``, and the stringless scan edge."""
@@ -175,7 +231,10 @@ def main(argv=None) -> int:
 
     scales = QUICK_SCALES if args.quick else FULL_SCALES
 
-    ok = bench_limit_flatness(scales)
+    dataspaces = _ladder(scales)
+    ok = bench_limit_flatness(dataspaces)
+    print()
+    ok = bench_containment(dataspaces) and ok
     print()
     # the keyset claim is "1.2x at 100k+ ids" — quick mode keeps the
     # asserted operating point, full mode scales it up

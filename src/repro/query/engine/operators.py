@@ -561,20 +561,21 @@ class TopKOperator(Operator):
 class ExpandOperator(Operator):
     """Path-step navigation re-seated on the batch protocol.
 
-    Expansion is forward, *pipelined* and *frontier-at-a-time*: each
-    input batch seeds a level-synchronous multi-source BFS
-    (:meth:`_walk`) that gathers the children of a whole frontier in
-    one substrate call and dedupes them against the shared reached-set
-    with set algebra; every level's discoveries stream out before the
-    next input batch is pulled. The reached/processed sets double as
-    the cycle guard (a group cycle terminates because no view is
-    expanded twice).
+    Expansion is forward and *pipelined*: each input batch's
+    discoveries stream out before the next input batch is pulled, so a
+    ``Limit`` above stops it between batches. Nodes are catalog ids:
+    sort keys convert once per batch at the input edge
+    (``view.ids_for_keys``) and each emitted set binds back once
+    (``view.keys_for_ids``).
 
-    The walk's nodes are catalog ids: sort keys convert once at the
-    input edge (``view.id_for_key``) and each emitted set binds back
-    once (``view.keys_for_ids``). Where the edges come from — the group
-    replica, or live views when it is not kept — is the execution
-    context's business (``children_ids_of_many``).
+    A descendant step over the group replica reads containment as
+    order (:meth:`_labelled`): one :class:`~repro.rvm.replicas.Closure`
+    per execution unions the sources' pre-order intervals, closes them
+    over the few edges outside the spanning forest, and bisects the
+    candidates into what became covered — no walk. The child axis, and
+    a replica-less policy (the edges come from live views), keep the
+    frontier-at-a-time BFS (:meth:`_walk`). Which one runs is decided
+    by the axis and by ``ctx.group_labels()``, not by an option.
     """
 
     def __init__(self, input_op: Operator, candidates_op: Operator | None,
@@ -595,8 +596,11 @@ class ExpandOperator(Operator):
     def next_batch(self) -> Batch | None:
         if self._batches is None:
             ctx = self._ctx
-            self._batches = chunked_stream(self._forward_stream(),
-                                           ctx.engine.batch_size,
+            labels = (ctx.group_labels() if self.axis is not Axis.CHILD
+                      else None)
+            stream = (self._forward_stream() if labels is None
+                      else self._labelled(labels))
+            self._batches = chunked_stream(stream, ctx.engine.batch_size,
                                            view=ctx.dict_view)
         return next(self._batches, None)
 
@@ -605,16 +609,47 @@ class ExpandOperator(Operator):
         if self.candidates_op is not None:
             self.candidates_op.close()
 
-    def _nodes(self, keys) -> list[int]:
-        """Sort keys to catalog ids (the walk's input edge)."""
-        return list(map(self._ctx.dict_view.id_for_key, keys))
+    def _candidate_ids(self) -> list[int] | None:
+        """The candidate filter as catalog ids (``None``: no filter)."""
+        if self.candidates_op is None:
+            return None
+        return self._ctx.dict_view.ids_for_keys([*drain(self.candidates_op)])
+
+    def _source_ids(self) -> Iterator[list[int]]:
+        """The input's catalog ids, one list per input batch."""
+        ids_for_keys = self._ctx.dict_view.ids_for_keys
+        return (ids_for_keys(batch.keys)
+                for batch in iter(self.input_op.next_batch, None))
+
+    # -- descendants by interval labels ------------------------------------
+
+    def _labelled(self, labels) -> Iterator[int]:
+        """Yield the keys of the reached candidates, an input batch at
+        a time, off one labels snapshot (a write meanwhile does not
+        touch it: the stream finishes on the graph it started with).
+        ``expanded_views`` grows by exactly what the BFS would reach."""
+        ctx = self._ctx
+        keys_for_ids = ctx.dict_view.keys_for_ids
+        candidates = self._candidate_ids()
+        if candidates is not None:
+            candidates = labels.split(candidates)
+        closure = labels.closure()
+        for sources in self._source_ids():
+            ctx.checkpoint()
+            spans, loose = closure.extend(sources)
+            ctx.expanded_views += closure.count(spans, loose)
+            hits = (closure.members(spans, loose) if candidates is None
+                    else closure.select(spans, loose, candidates))
+            if hits:
+                yield from keys_for_ids(hits)
 
     # -- the forward walk --------------------------------------------------
 
     def _walk(self, frontiers) -> Iterator[set]:
-        """The one forward BFS: for each frontier that ``frontiers``
-        yields (pulled lazily — one per input batch), expand level by
-        level and yield each level's *newly* discovered node set.
+        """The forward BFS of the child axis and of live-view edges:
+        for each frontier that ``frontiers`` yields (pulled lazily —
+        one per input batch), expand level by level and yield each
+        level's *newly* discovered node set.
 
         ``reached`` is shared across input batches, so a view is
         discovered (and counted into ``expanded_views``) once however
@@ -647,12 +682,11 @@ class ExpandOperator(Operator):
 
     def _forward_stream(self) -> Iterator[int]:
         """Yield the *keys* of discovered views, a level at a time."""
-        candidates = (set(self._nodes(drain(self.candidates_op)))
-                      if self.candidates_op is not None else None)
+        candidates = self._candidate_ids()
+        if candidates is not None:
+            candidates = set(candidates)
         keys_for_ids = self._ctx.dict_view.keys_for_ids
-        frontiers = (self._nodes(batch.keys)
-                     for batch in iter(self.input_op.next_batch, None))
-        for new in self._walk(frontiers):
+        for new in self._walk(self._source_ids()):
             hits = new if candidates is None else new & candidates
             if hits:
                 yield from keys_for_ids(hits)

@@ -345,6 +345,16 @@ class ExecutionContext:
 
     # -- group navigation (replica or live fallback) -------------------------
 
+    def group_labels(self):
+        """The group replica's interval labels, which answer a
+        descendant step without a walk — or ``None`` when the policy
+        keeps no replica, and the step walks live views instead. A
+        build may happen here, so cancellation is observed first."""
+        if not self.rvm.indexes.policy.replicate_groups:
+            return None
+        self.checkpoint()
+        return self.group_replica.labels()
+
     def children_ids_of_many(self, frontier) -> list[int]:
         """The child ids of a whole frontier in one list (duplicates
         kept): counted per node, checkpointed once per

@@ -183,6 +183,17 @@ class DictionaryView:
         # URI, so an id exists (intern() is an idempotent lookup here)
         return self._dictionary.intern(self._overlay_rev[key])
 
+    def ids_for_keys(self, keys: Sequence[int]) -> list[int]:
+        """Invert a column of keys this view issued to catalog ids
+        (order kept). With no overlay every key is a base key, so the
+        column inverts by a shift and an index per key, the trick
+        :meth:`uris_for` uses; otherwise each key takes
+        :meth:`id_for_key`."""
+        if not self._overlay_rev:
+            id_at_rank = self._id_at_rank
+            return [id_at_rank[k >> _KEY_SHIFT] for k in keys]
+        return [*map(self.id_for_key, keys)]
+
     # -- key -> uri ---------------------------------------------------------
 
     def uri_for(self, key: int) -> str:

@@ -94,3 +94,30 @@ class TestFeedPropagation:
         ))
         ds.refresh()
         assert len(ds.query('"okapi"')) >= 1
+
+
+class TestLabelsAcrossRefresh:
+    def test_descendant_stream_survives_a_relabel(self, generated_tiny):
+        """A ``query_iter`` reader drains a ``//`` query while a
+        ``refresh()`` between two pulls drops the group replica's label
+        snapshot (a folder with files under it goes): the stream
+        finishes on the snapshot it started with, without an exception
+        and without repeating a row, and the next query sees the
+        write."""
+        ds = Dataspace(vfs=generated_tiny.vfs, imap=generated_tiny.imap)
+        ds.sync()
+        ds.watch()
+        before = set(ds.query("//*//*").uris())
+        replica = ds.rvm.indexes.group_replica
+        batches = ds.query_iter("//*//*").batches()
+        first = next(batches).uris
+        assert replica._labels is not None
+        generated_tiny.vfs.delete("/Projects/OLAP", recursive=True)
+        ds.refresh()
+        assert replica._labels is None  # dropped, rebuilt by a reader
+        rows = [*first, *(uri for batch in batches for uri in batch.uris)]
+        assert len(rows) == len(set(rows))
+        assert set(rows) <= before
+        after = set(ds.query("//*//*").uris())
+        assert not any("/Projects/OLAP/" in uri for uri in after)
+        assert replica._labels is not None

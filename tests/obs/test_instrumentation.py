@@ -96,6 +96,38 @@ class TestDictionaryMetrics:
                 "query.dict.remaps"} <= set(snapshot)
 
 
+class TestReplicaMetrics:
+    def test_relabels_count_snapshot_builds_not_writes(self):
+        """``rvm.replica.relabels`` moves once per label build: a write
+        the overlay absorbs costs none, one that drops the snapshot
+        costs one at the next read."""
+        from repro.core.identity import ViewId
+        from repro.core.resource_view import ResourceView
+        from repro.rvm.replicas import GroupReplica
+
+        def view(name, *children):
+            return ResourceView(name, group=list(children),
+                                view_id=ViewId("relabels", name))
+
+        def relabels():
+            return obs.global_metrics().snapshot().get(
+                "rvm.replica.relabels", 0)
+
+        replica = GroupReplica()
+        leaf = view("a/leaf")
+        replica.add(view("root", view("a", leaf), view("b")))
+        replica.add(view("a", leaf))
+        replica.labels()
+        replica.labels()
+        assert relabels() == 1
+        replica.add(view("b", leaf))  # a late edge
+        replica.labels()
+        assert relabels() == 1
+        replica.add(view("root", view("b")))  # tree edge above a subtree
+        replica.labels()
+        assert relabels() == 2
+
+
 class TestSlowQueryCapture:
     def test_slow_queries_capture_with_span_tree(self):
         obs.configure(slow_query_seconds=0.0)

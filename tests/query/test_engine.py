@@ -41,6 +41,7 @@ from repro.query.engine.operators import (
     _Cursor,
     drain,
 )
+from repro.rvm.replicas import Labels
 from repro.rvm.uridict import UriDictionary, global_uri_dictionary
 
 
@@ -90,7 +91,8 @@ class FakeCtx:
     private dictionary: like the real context it captures one
     :class:`DictionaryView` lazily, at the first pull, and serves group
     navigation in catalog-id space (here off a ``{uri: children}``
-    dict, interned up front)."""
+    dict, interned up front): frontier gathers for the child axis,
+    interval labels for the descendant axis."""
 
     def __init__(self, batch_size: int = 4, graph=None):
         self.engine = EngineConfig(batch_size=batch_size)
@@ -117,6 +119,11 @@ class FakeCtx:
         uri_of, id_of = self.dictionary.uri_of, self.dictionary.id_of
         return [id_of(child) for node in frontier
                 for child in self._graph.get(uri_of(node), ())]
+
+    def group_labels(self) -> Labels:
+        id_of = self.dictionary.id_of
+        return Labels.build({id_of(uri): tuple(map(id_of, children))
+                             for uri, children in self._graph.items()})
 
     def key(self, uri: str) -> int:
         return self.dict_view.key_for(uri)
@@ -429,45 +436,73 @@ def _id_context(rvm, **kwargs):
     return ctx
 
 
+class _Cancelled(Exception):
+    pass
+
+
+class _Token:
+    fired = False
+
+    def check(self):
+        if self.fired:
+            raise _Cancelled
+
+
 class TestExpandOverReplica:
     def test_cancellation_is_observed_within_one_chunk_of_a_frontier(self):
-        """A 10k-node frontier is gathered ``batch_size`` nodes at a
-        time with a checkpoint before each chunk: a token that fires
-        mid-frontier stops the walk at the next chunk boundary."""
+        """A child step over a 10k-node frontier gathers it
+        ``batch_size`` nodes at a time with a checkpoint before each
+        chunk: a token that fires mid-frontier stops the walk at the
+        next chunk boundary."""
         size = 256
-        rvm = replica_rvm("cancelwalk",
-                          {"root": [f"leaf/{i}" for i in range(10_000)]})
-
-        class Cancelled(Exception):
-            pass
-
-        class Token:
-            fired = False
-
-            def check(self):
-                if self.fired:
-                    raise Cancelled
-
-        token = Token()
+        leaves = [f"leaf/{i}" for i in range(10_000)]
+        rvm = replica_rvm("cancelwalk", {"root": leaves})
+        token = _Token()
         replica = rvm.indexes.group_replica
         gather = replica.children_ids_of_many
         chunks: list[int] = []
 
         def spy(oids):
             chunks.append(len(oids))
-            if len(chunks) == 4:  # the root, then 3 chunks of its leaves
+            if len(chunks) == 3:
                 token.fired = True
             return gather(oids)
 
         replica.children_ids_of_many = spy
         ctx = _id_context(rvm, cancel_token=token,
                           engine=EngineConfig(batch_size=size))
-        expand = ExpandOperator(StaticSource(["cancelwalk://root"]), None,
+        expand = ExpandOperator(
+            StaticSource([f"cancelwalk://{leaf}" for leaf in leaves]), None,
+            Axis.CHILD)
+        expand.open(ctx)
+        with pytest.raises(_Cancelled):
+            list(drain(expand))
+        assert chunks == [size, size, size]  # nothing after it fired
+
+    def test_cancellation_is_observed_before_a_label_build(self):
+        """A descendant step checks the token before it builds the
+        replica's labels, and once per input batch after that."""
+        rvm = replica_rvm("cancellabels", {"top": ["a", "b"], "a": ["c"]})
+        replica = rvm.indexes.group_replica
+        token = _Token()
+        token.fired = True
+        ctx = _id_context(rvm, cancel_token=token)
+        expand = ExpandOperator(StaticSource(["cancellabels://top"]), None,
                                 Axis.DESCENDANT)
         expand.open(ctx)
-        with pytest.raises(Cancelled):
+        with pytest.raises(_Cancelled):
             list(drain(expand))
-        assert chunks == [1, size, size, size]  # nothing after it fired
+        assert replica._labels is None  # nothing was built
+        token.fired = False
+        expand = ExpandOperator(
+            StaticSource(["cancellabels://top"], ["cancellabels://a"]),
+            None, Axis.DESCENDANT)
+        expand.open(_id_context(rvm, cancel_token=token,
+                                engine=EngineConfig(batch_size=3)))
+        assert len(expand.next_batch()) == 3
+        token.fired = True
+        with pytest.raises(_Cancelled):
+            expand.next_batch()
 
     def test_late_interned_child_takes_the_overlay_path(self):
         """A child interned after the execution captured its dictionary

@@ -1,5 +1,10 @@
 """Tests for the group replica and the Replica&Indexes module."""
 
+import random
+import sys
+import threading
+import time
+
 from repro.core.components import ContentComponent, GroupComponent
 from repro.core.identity import ViewId
 from repro.core.resource_view import ResourceView
@@ -95,12 +100,17 @@ class TestGroupReplica:
 
     def test_size_is_node_headers_plus_forward_edges(self):
         """Table 3's group row: 16 B per node and 8 B per forward edge,
-        nothing else — through adds, a re-add and a remove."""
+        plus the labels — 16 B per labelled view and 8 B per edge
+        outside the spanning forest — through adds, a re-add and a
+        remove (the labels follow the writes through their overlay)."""
         replica = GroupReplica()
 
         def check():
-            assert replica.size_bytes() == (16 * len(replica)
-                                            + 8 * replica.edge_count())
+            labels = replica.labels()
+            assert replica.size_bytes() == (
+                16 * len(replica) + 8 * replica.edge_count()
+                + 16 * len(labels)
+                + 8 * (len(labels.residual) + len(labels.late)))
 
         leaf = _view("/a/b/c", "c")
         mid = _view("/a/b", "b", children=[leaf])
@@ -113,6 +123,127 @@ class TestGroupReplica:
         assert replica.remove("fs:///a/b")
         check()
         assert (len(replica), replica.edge_count()) == (2, 1)
+        labels = replica.labels()
+        assert (len(labels), labels.residual, labels.late) == (3, (), ())
+        assert replica.size_bytes() == 16 * 2 + 8 * 1 + 16 * 3
+
+
+class TestLabels:
+    def _tree(self):
+        """root -> a -> (b, c); root -> d, each a labelled node."""
+        b, c = _view("/r/a/b", "b"), _view("/r/a/c", "c")
+        a = _view("/r/a", "a", children=[b, c])
+        d = _view("/r/d", "d")
+        replica = GroupReplica()
+        for view in (_view("/r", "r", children=[a, d]), a, b, c, d):
+            replica.add(view)
+        return replica, a, b, c, d
+
+    def _id(self, replica, view):
+        return replica._dictionary.id_of(view.view_id.uri)
+
+    def test_intervals_are_pre_order_subtrees(self):
+        replica, a, b, c, d = self._tree()
+        labels = replica.labels()
+        at = labels.rank[self._id(replica, a)]
+        assert labels.end[at] - at == 3  # a, b, c
+        assert labels.residual == labels.late == ()
+
+    def test_writes_feed_the_overlay_or_drop_the_snapshot(self):
+        replica, a, b, c, d = self._tree()
+        base = replica.labels()
+        replica.add(_view("/r/d", "d", children=[b]))  # an added edge
+        labels = replica.labels()
+        assert labels.rank is base.rank  # the base is shared
+        assert labels.late == ((self._id(replica, d), self._id(replica, b)),)
+        replica.add(_view("/r/a", "a", children=[b]))  # tree edge to a leaf
+        labels = replica.labels()
+        assert labels.rank is base.rank
+        assert labels.detached == {self._id(replica, c)}
+        assert replica.remove("fs:///r/d")  # its late edge goes
+        assert replica.labels().late == ()
+        replica.add(_view("/r", "r", children=[d]))  # above a subtree
+        assert replica._labels is None
+        assert replica.labels().rank is not base.rank
+
+    def test_remove_keeps_the_node_in_its_parents_interval(self):
+        replica, a, b, c, d = self._tree()
+        replica.labels()
+        assert replica.remove("fs:///r/a/b")
+        root = self._id(replica, _view("/r", "r"))
+        closure = replica.labels().closure()
+        reached = closure.members(*closure.extend([root]))
+        assert set(reached) == replica.descendant_ids(root)
+        assert self._id(replica, b) in reached
+
+    def test_published_labels_stay_current_under_concurrent_readers(self):
+        """Readers build and read labels while a writer rewires the
+        graph: no reader raises, and a build that raced a write is
+        never kept — after every write, the published snapshot's edges
+        (tree edges to attached views, residual and late edges) are the
+        replica's edges, and at the end it answers as the BFS does."""
+        size = 300
+        nodes = [_view(f"/s/{i}", str(i)) for i in range(size)]
+        replica = GroupReplica()
+        rng = random.Random(7)
+
+        def rewire():
+            kids = rng.sample(nodes, rng.randrange(4))
+            replica.add(_view(f"/s/{rng.randrange(size)}", children=kids))
+
+        for _ in range(size):
+            rewire()
+        stop = threading.Event()
+        errors: list[BaseException] = []
+
+        def read():
+            while not stop.is_set():
+                try:
+                    closure = replica.labels().closure()
+                    closure.extend(list(replica.labels().rank))
+                except BaseException as error:  # noqa: BLE001 - reported
+                    errors.append(error)
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        try:
+            for thread in readers:
+                thread.start()
+            for step in range(400):
+                if step % 7:
+                    rewire()
+                else:
+                    replica.remove(f"fs:///s/{rng.randrange(size)}")
+                time.sleep(0)  # let a reader start a build
+                published = replica._labels  # only this thread writes
+                if published is not None:
+                    assert self._edges_of(published) == self._edges(replica)
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert errors == []
+        labels = replica.labels()
+        for node in labels.rank:
+            closure = labels.closure()
+            reached = closure.members(*closure.extend([node]))
+            assert set(reached) == replica.descendant_ids(node)
+
+    @staticmethod
+    def _edges_of(labels) -> set:
+        order, parent, detached = labels.order, labels.parent, labels.detached
+        tree = {(order[up], order[at]) for at, up in enumerate(parent)
+                if up >= 0 and order[at] not in detached}
+        return tree | set(labels.residual) | set(labels.late)
+
+    @staticmethod
+    def _edges(replica) -> set:
+        return {(node, kid) for node in replica._set_children
+                for kid in replica.children_ids(node)}
 
 
 class TestTextSniffer:

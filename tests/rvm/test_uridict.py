@@ -85,6 +85,7 @@ class TestSortKeys:
         assert view.uris_for(keys) == tuple(sorted(uris))
         in_order = view.keys_in_order_ids(ids)
         assert view.uris_for(in_order) == tuple(uris)
+        assert view.ids_for_keys(in_order) == ids
         for uri in uris:
             assert view.uri_for(view.key_for(uri)) == uri
             assert view.id_for_key(view.key_for(uri)) == d.id_of(uri)
@@ -148,6 +149,19 @@ class TestOverlay:
         everything = sorted(["vfs://a", "vfs://z", *arrivals])
         keys = [view.key_for(u) for u in everything]
         assert keys == sorted(keys)
+
+    def test_bulk_key_to_id_matches_per_key_with_late_keys(self):
+        """``ids_for_keys`` takes a shortcut while the view has no
+        overlay; once late keys exist it must still invert every key —
+        base and overlay alike — exactly as ``id_for_key`` does."""
+        d, view = self._view("vfs://a", "vfs://c", "vfs://e")
+        base = [view.key_for(u) for u in ("vfs://e", "vfs://a")]
+        assert view.ids_for_keys(base) == [view.id_for_key(k) for k in base]
+        late = [view.key_for(u) for u in ("vfs://d", "vfs://b")]
+        keys = [late[0], *base, late[1]]
+        assert view.ids_for_keys(keys) == [view.id_for_key(k) for k in keys]
+        assert view.ids_for_keys(late) == [d.id_of("vfs://d"),
+                                           d.id_of("vfs://b")]
 
     def test_concurrent_overlay_assignment_is_consistent(self):
         _, view = self._view("vfs://a", "vfs://c")
