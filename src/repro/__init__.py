@@ -18,8 +18,7 @@ The package mirrors the iMeMex PDSMS architecture:
   by the evaluation harness.
 * :mod:`repro.bench` — helpers that regenerate the paper's tables and
   figures.
-* beyond the paper — :mod:`repro.mediaindex` (histogram similarity
-  for non-text content), :mod:`repro.cli` (``python -m repro``) and
+* beyond the paper — :mod:`repro.cli` (``python -m repro``) and
   ranking inside :mod:`repro.query`; the serving stack
   (:mod:`repro.service`, :mod:`repro.durability`,
   :mod:`repro.supervise`, :mod:`repro.resilience`, :mod:`repro.obs`,

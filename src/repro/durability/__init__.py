@@ -25,12 +25,7 @@ The facade surfaces it as ``Dataspace(durability=...)`` /
 """
 
 from .checkpoint import Checkpointer, CheckpointInfo, latest_checkpoint
-from .manager import (
-    DurabilityConfig,
-    DurabilityManager,
-    load_config,
-    policy_from_config,
-)
+from .manager import DurabilityConfig, DurabilityManager, load_config
 from .records import (
     CatalogUpsert,
     ContentIndexPut,
@@ -58,6 +53,5 @@ __all__ = [
     "VerifyReport", "ViewDelete", "WAL_DIRNAME", "WriteAheadLog",
     "apply_frame", "capture_view_delete", "capture_view_upsert",
     "decode_record", "latest_checkpoint", "load_config",
-    "policy_from_config", "recover_state", "standard_queries",
-    "verify_engine_matches_oracle",
+    "recover_state", "standard_queries", "verify_engine_matches_oracle",
 ]

@@ -72,14 +72,17 @@ def latest_checkpoint(directory: str | Path) -> tuple[int, Path] | None:
     return best
 
 
-def _write_pointer(directory: Path, lsn: int) -> None:
-    pointer = directory / POINTER_NAME
-    staging = directory / f"{POINTER_NAME}.tmp-{os.getpid()}"
+def replace_durably(path: Path, text: str) -> None:
+    """Replace a small file (the pointer, ``config.json``) atomically:
+    the staging file is on stable storage before it is renamed over
+    ``path``, so a crash leaves the old file or the new one, never an
+    empty one."""
+    staging = path.with_name(f"{path.name}.tmp-{os.getpid()}")
     with staging.open("w", encoding="utf-8") as handle:
-        handle.write(f"{lsn}\n")
+        handle.write(text)
         handle.flush()
         os.fsync(handle.fileno())
-    os.replace(staging, pointer)
+    os.replace(staging, path)
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,8 @@ class Checkpointer:
         wal.sync()                                    # step 1
         target = checkpoint_path(self.directory, lsn)
         manifest = save_state(rvm, target, extra={"wal_lsn": lsn})  # step 2
-        _write_pointer(self.directory, lsn)           # step 3
+        replace_durably(self.directory / POINTER_NAME,
+                        f"{lsn}\n")                   # step 3
         truncated = wal.truncate_through(lsn)         # step 4
         self._collect_garbage(live_lsn=lsn)
         seconds = time.perf_counter() - started

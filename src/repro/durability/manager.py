@@ -3,7 +3,7 @@
 :class:`DurabilityManager` owns a durability *directory*::
 
     <directory>/
-        config.json                # indexing-policy flags, format version
+        config.json                # format version, indexing flags
         wal/00000000000000000001.wal ...
         checkpoint-<lsn>/          # save_state snapshots
         CHECKPOINT                 # pointer: which checkpoint is live
@@ -14,23 +14,22 @@ typed records (:mod:`.records`) and appended to the WAL as one commit
 unit *after* the in-memory mutation completed — the structures are the
 source of truth, the log is their replayable history.
 
-``config.json`` pins the :class:`~repro.rvm.indexes.IndexingPolicy`
-the log was written under: WAL replay re-runs the indexing dispatch,
-so recovery must construct the RVM with the same policy —
-:func:`load_config` / ``Dataspace.open`` restore it automatically.
+``config.json`` pins the prototype's four structures (§7.2) the log
+was written under: WAL replay re-runs the indexing dispatch, so a
+directory that records any other indexing policy — one written under
+query shipping — is refused by :func:`load_config` rather than replayed
+into structures it never fed.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..core.errors import DurabilityError
 from ..core.resource_view import ResourceView
-from ..rvm.indexes import IndexingPolicy
-from .checkpoint import Checkpointer, CheckpointInfo
+from .checkpoint import Checkpointer, CheckpointInfo, replace_durably
 from .records import capture_view_delete, capture_view_upsert
 from .recovery import WAL_DIRNAME, RecoveryReport, recover_state
 from .wal import WriteAheadLog
@@ -38,8 +37,11 @@ from .wal import WriteAheadLog
 CONFIG_NAME = "config.json"
 CONFIG_VERSION = 1
 
-_POLICY_FLAGS = ("index_names", "index_content", "index_tuples",
-                 "replicate_groups", "index_media")
+#: The indexing flags every directory records: the prototype's four
+#: structures, all kept, and no media index.
+PROTOTYPE_POLICY = {"index_names": True, "index_content": True,
+                    "index_tuples": True, "replicate_groups": True,
+                    "index_media": False}
 
 
 @dataclass(frozen=True)
@@ -62,25 +64,36 @@ class DurabilityConfig:
         return replace(self, directory=directory)
 
 
-def _policy_to_dict(policy: IndexingPolicy) -> dict:
-    return {flag: getattr(policy, flag) for flag in _POLICY_FLAGS}
-
-
 def load_config(directory: str | Path) -> dict | None:
-    """The persisted ``config.json`` of a durability directory, if any."""
+    """The persisted ``config.json`` of a durability directory, if any.
+
+    The file comes from outside the program: anything but a JSON object
+    recording :data:`CONFIG_VERSION` and :data:`PROTOTYPE_POLICY` raises
+    :class:`DurabilityError` naming it.
+    """
     path = Path(directory) / CONFIG_NAME
     if not path.exists():
         return None
-    return json.loads(path.read_text())
-
-
-def policy_from_config(config: dict | None) -> IndexingPolicy | None:
-    """Reconstruct the logged indexing policy (None when unrecorded)."""
-    if not config or "policy" not in config:
-        return None
-    flags = config["policy"]
-    return IndexingPolicy(**{flag: bool(flags.get(flag, True))
-                             for flag in _POLICY_FLAGS})
+    try:
+        config = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as error:
+        raise DurabilityError(f"unreadable {path}: {error}") from None
+    if not isinstance(config, dict):
+        raise DurabilityError(f"{path} is not a JSON object")
+    version = config.get("config_version")
+    if version != CONFIG_VERSION:
+        raise DurabilityError(
+            f"{path} records config_version {version!r}; this build "
+            f"reads version {CONFIG_VERSION}"
+        )
+    policy = config.get("policy")
+    if policy != PROTOTYPE_POLICY:
+        raise DurabilityError(
+            f"{path} records indexing policy {policy!r}, but this build "
+            f"keeps exactly {PROTOTYPE_POLICY}; a log written under "
+            f"another policy cannot be replayed"
+        )
+    return config
 
 
 class DurabilityManager:
@@ -108,33 +121,18 @@ class DurabilityManager:
         rvm.attach_durability(self)
 
     def _check_or_write_config(self) -> None:
-        persisted = load_config(self.directory)
-        mine = _policy_to_dict(self.rvm.indexes.policy)
-        if persisted is None:
-            staging = self.directory / f"{CONFIG_NAME}.tmp-{os.getpid()}"
-            staging.write_text(json.dumps(
-                {"config_version": CONFIG_VERSION, "policy": mine},
+        if load_config(self.directory) is None:
+            replace_durably(self.directory / CONFIG_NAME, json.dumps(
+                {"config_version": CONFIG_VERSION,
+                 "policy": PROTOTYPE_POLICY},
                 indent=2,
             ))
-            os.replace(staging, self.directory / CONFIG_NAME)
-            return
-        theirs = persisted.get("policy")
-        if theirs is not None and theirs != mine:
-            raise DurabilityError(
-                f"durability directory {self.directory} was written under "
-                f"indexing policy {theirs}, but this RVM uses {mine}; "
-                f"replaying the log under a different policy would "
-                f"diverge — open with the recorded policy"
-            )
 
     # -- the sync manager's durability sink --------------------------------
 
-    def record_upsert(self, view: ResourceView,
-                      raw_content: str | None) -> None:
+    def record_upsert(self, view: ResourceView, raw_content: str) -> None:
         """Log one just-indexed view (called after the mutation)."""
-        records = capture_view_upsert(view, self.rvm, raw_content)
-        if records:
-            self.wal.append(records)
+        self.wal.append(capture_view_upsert(view, self.rvm, raw_content))
 
     def record_remove(self, uri: str) -> None:
         """Log one just-unregistered view."""

@@ -11,7 +11,7 @@ logged mutation, including re-add-replaces semantics and net-input
 accounting.
 
 One logical mutation (indexing one resource view) emits one record per
-structure the indexing policy touched; the capture helpers bundle them
+structure it touched; the capture helpers bundle them
 into a single list, which the WAL frames as one commit unit — recovery
 applies the whole view or none of it.
 
@@ -133,7 +133,7 @@ class ContentIndexPut:
     The content index stores postings, not text, so the raw text must
     travel in the log; replay re-tokenizes it through
     :meth:`~repro.rvm.indexes.IndexSet.index_content_raw`, which also
-    redoes the text-vs-media dispatch and net-input accounting.
+    redoes the text sniffing and net-input accounting.
     """
 
     TAG: ClassVar[str] = "txt"
@@ -229,7 +229,7 @@ def apply_frame(frame: dict, rvm: "ResourceViewManager") -> int:
 # ---------------------------------------------------------------------------
 
 def capture_view_upsert(view: ResourceView, rvm: "ResourceViewManager",
-                        raw_content: str | None) -> list[dict]:
+                        raw_content: str) -> list[dict]:
     """The records for one just-indexed view, read back from the RVM.
 
     Called at the synchronization manager's mutation point, *after* the
@@ -250,20 +250,17 @@ def capture_view_upsert(view: ResourceView, rvm: "ResourceViewManager",
             child_count=catalog_record.child_count,
         ).payload())
     indexes = rvm.indexes
-    policy = indexes.policy
-    if policy.index_names and uri in indexes.name_index:
+    if uri in indexes.name_index:
         records.append(NameIndexPut(
             uri=uri, name=indexes.name_index.stored_text(uri),
         ).payload())
-    if policy.index_tuples:
-        component = indexes.tuple_index.tuple_of(uri)
-        if component is not None:
-            records.append(TupleIndexPut(
-                uri=uri, values=component.as_dict(),
-            ).payload())
-    if raw_content is not None:
-        records.append(ContentIndexPut(uri=uri, raw=raw_content).payload())
-    if policy.replicate_groups and uri in indexes.group_replica:
+    component = indexes.tuple_index.tuple_of(uri)
+    if component is not None:
+        records.append(TupleIndexPut(
+            uri=uri, values=component.as_dict(),
+        ).payload())
+    records.append(ContentIndexPut(uri=uri, raw=raw_content).payload())
+    if uri in indexes.group_replica:
         replica = indexes.group_replica
         combined = replica.children(uri)          # set part then seq part
         sequence = replica.sequence_children(uri)

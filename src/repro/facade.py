@@ -38,7 +38,7 @@ class Dataspace:
                  imap: ImapServer | None = None,
                  feeds: FeedServer | None = None,
                  reference_datetime: datetime | None = None,
-                 policy=None, resilience=None, durability=None):
+                 resilience=None, durability=None):
         self.vfs = vfs
         self.imap = imap
         self.feeds = feeds
@@ -50,7 +50,7 @@ class Dataspace:
         elif isinstance(resilience, ResilienceConfig):
             resilience = ResilienceHub(resilience)
         self.resilience = resilience
-        self.rvm = ResourceViewManager(policy=policy, resilience=resilience)
+        self.rvm = ResourceViewManager(resilience=resilience)
         # durability: a directory path → default config over it; a
         # DurabilityConfig → a manager with it; None → off (in-memory).
         # Attached before any sync so the WAL covers the initial scan.
@@ -94,8 +94,8 @@ class Dataspace:
                  **kwargs) -> "Dataspace":
         """A synthetic dataspace from a profile (or a paper-scale factor).
 
-        Extra keyword arguments (``policy``, ``resilience``,
-        ``durability``) pass through to the constructor.
+        Extra keyword arguments (``resilience``, ``durability``) pass
+        through to the constructor.
         """
         if profile is None:
             profile = scaled_profile(scale if scale is not None else 0.02)
@@ -113,8 +113,9 @@ class Dataspace:
 
         Loads the latest checkpoint and replays the WAL tail into a
         fresh RVM — no data sources needed, no re-sync: the recovered
-        structures answer queries immediately. The indexing policy the
-        directory was written under is restored automatically.
+        structures answer queries immediately. A directory whose
+        ``config.json`` is malformed, or records an indexing policy
+        other than the prototype's, raises :class:`DurabilityError`.
 
         With ``durable=True`` (the default) the directory stays
         attached: further mutations append at the recovered WAL tail
@@ -126,13 +127,10 @@ class Dataspace:
             DurabilityConfig,
             DurabilityManager,
             load_config,
-            policy_from_config,
             recover_state,
         )
-        policy = kwargs.pop("policy", None)
-        if policy is None:
-            policy = policy_from_config(load_config(path))
-        dataspace = cls(policy=policy, **kwargs)
+        load_config(path)  # refuses a hostile config.json up front
+        dataspace = cls(**kwargs)
         if durable:
             manager = DurabilityManager(
                 dataspace.rvm, DurabilityConfig(directory=path))

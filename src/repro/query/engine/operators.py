@@ -568,14 +568,12 @@ class ExpandOperator(Operator):
     (``view.ids_for_keys``) and each emitted set binds back once
     (``view.keys_for_ids``).
 
-    A descendant step over the group replica reads containment as
-    order (:meth:`_labelled`): one :class:`~repro.rvm.replicas.Closure`
-    per execution unions the sources' pre-order intervals, closes them
-    over the few edges outside the spanning forest, and bisects the
-    candidates into what became covered — no walk. The child axis, and
-    a replica-less policy (the edges come from live views), keep the
-    frontier-at-a-time BFS (:meth:`_walk`). Which one runs is decided
-    by the axis and by ``ctx.group_labels()``, not by an option.
+    A descendant step reads containment as order (:meth:`_labelled`):
+    one :class:`~repro.rvm.replicas.Closure` per execution unions the
+    sources' pre-order intervals on the group replica, closes them over
+    the few edges outside the spanning forest, and bisects the
+    candidates into what became covered — no walk. A child step takes
+    one hop per input batch (:meth:`_walk`). The axis decides which.
     """
 
     def __init__(self, input_op: Operator, candidates_op: Operator | None,
@@ -596,10 +594,8 @@ class ExpandOperator(Operator):
     def next_batch(self) -> Batch | None:
         if self._batches is None:
             ctx = self._ctx
-            labels = (ctx.group_labels() if self.axis is not Axis.CHILD
-                      else None)
-            stream = (self._forward_stream() if labels is None
-                      else self._labelled(labels))
+            stream = (self._walk() if self.axis is Axis.CHILD
+                      else self._labelled(ctx.group_labels()))
             self._batches = chunked_stream(stream, ctx.engine.batch_size,
                                            view=ctx.dict_view)
         return next(self._batches, None)
@@ -643,50 +639,29 @@ class ExpandOperator(Operator):
             if hits:
                 yield from keys_for_ids(hits)
 
-    # -- the forward walk --------------------------------------------------
+    # -- children by one hop -----------------------------------------------
 
-    def _walk(self, frontiers) -> Iterator[set]:
-        """The forward BFS of the child axis and of live-view edges:
-        for each frontier that ``frontiers`` yields (pulled lazily —
-        one per input batch), expand level by level and yield each
-        level's *newly* discovered node set.
-
-        ``reached`` is shared across input batches, so a view is
-        discovered (and counted into ``expanded_views``) once however
-        many sources lead to it; on the descendant axis ``processed``
-        keeps a view — source or discovery — from being expanded
-        twice."""
+    def _walk(self) -> Iterator[int]:
+        """The child axis: one hop per input batch, yielding the keys of
+        the children that no earlier batch reached. ``reached`` is shared
+        across input batches, so a view is discovered (and counted into
+        ``expanded_views``) once however many sources lead to it."""
         ctx = self._ctx
         children_of_many = ctx.children_ids_of_many
-        descend = self.axis is not Axis.CHILD
-        reached: set = set()
-        processed: set = set()
-        for frontier in frontiers:
-            while True:
-                if descend:
-                    frontier = set(frontier)  # a copy: ``new`` was yielded
-                    frontier -= processed
-                    processed |= frontier
-                if not frontier:
-                    break
-                new = set(children_of_many(frontier))
-                new -= reached
-                if not new:
-                    break
-                reached |= new
-                ctx.expanded_views += len(new)
-                yield new
-                if not descend:
-                    break
-                frontier = new
-
-    def _forward_stream(self) -> Iterator[int]:
-        """Yield the *keys* of discovered views, a level at a time."""
+        keys_for_ids = ctx.dict_view.keys_for_ids
         candidates = self._candidate_ids()
         if candidates is not None:
             candidates = set(candidates)
-        keys_for_ids = self._ctx.dict_view.keys_for_ids
-        for new in self._walk(self._source_ids()):
+        reached: set = set()
+        for sources in self._source_ids():
+            if not sources:
+                continue
+            new = set(children_of_many(sources))
+            new -= reached
+            if not new:
+                continue
+            reached |= new
+            ctx.expanded_views += len(new)
             hits = new if candidates is None else new & candidates
             if hits:
                 yield from keys_for_ids(hits)

@@ -97,16 +97,11 @@ def reference_execute(node: PlanNode, ctx) -> set[str]:
 
 
 def _name_pattern(pattern: str, ctx) -> set[str]:
-    """One regex match per named view: off the name replica when it is
-    kept, else off the catalog's records."""
+    """One regex match per named view, off the name replica."""
     ctx.checkpoint()
-    if ctx.rvm.indexes.policy.index_names:
-        rows = ctx.rvm.indexes.name_index.stored_items()
-    else:
-        rows = ((record.uri, record.name)
-                for record in ctx.rvm.catalog.all_records() if record.name)
     regex = wildcard_regex(pattern)
-    return {uri for uri, name in rows if regex.match(name)}
+    return {uri for uri, name in ctx.rvm.indexes.name_index.stored_items()
+            if regex.match(name)}
 
 
 def _forward(node: ExpandStep, ctx, sources: set[str],

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from array import array
 from contextlib import nullcontext
-from itertools import chain, islice
+from itertools import islice
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Callable, Iterator
@@ -77,7 +77,6 @@ from .plan import (
     RootViews,
     TupleCompare,
     Union,
-    compare_values,
     wildcard_literals,
     wildcard_regex,
 )
@@ -216,35 +215,12 @@ class ExecutionContext:
         """Content match as a catalog-id :class:`KeySet`."""
         self.checkpoint()
         self.count("ctx.content_search")
-        index = (self.rvm.indexes.content_index
-                 if self.rvm.indexes.policy.index_content
-                 else self._content_scan())
+        index = self.rvm.indexes.content_index
         if wildcard:
             return Wildcard(text).ids(index)
         if is_phrase:
             return Phrase.of(text, index).ids(index)
         return Term(text).ids(index)
-
-    def _content_scan(self):
-        """Query shipping: no content index, so index the live views'
-        content into a throwaway probe (which interns every URI it is
-        handed — its doc ids are catalog ids, like the real index's)."""
-        from ..fulltext import InvertedIndex
-        self.count("ctx.content_scan")
-        probe = InvertedIndex()
-        for uri, view in self.rvm.sync.live_views.items():
-            self.checkpoint()
-            try:
-                content = view.content
-                body = (content.text() if content.is_finite
-                        else content.take(4096))
-            except (DataSourceError, ComponentError) as error:
-                self.degrade(_authority_of(uri), "content_scan", error,
-                             views_unavailable=1)
-                continue
-            if body:
-                probe.add(uri, body)
-        return probe
 
     def content_estimate(self, text: str, *, is_phrase: bool,
                          wildcard: bool) -> int:
@@ -307,8 +283,6 @@ class ExecutionContext:
         total = len(self.rvm.catalog)
         if axis is not Axis.CHILD:
             return total
-        if not self.rvm.indexes.policy.replicate_groups:
-            return total
         nodes = max(1, len(self.group_replica))
         fanout = self.group_replica.edge_count() / nodes
         return min(total, int(input_estimate * fanout) + 1)
@@ -343,15 +317,12 @@ class ExecutionContext:
         self.count("ctx.name_pattern")
         return KeySet.from_iterable(self.name_pattern_id_stream(pattern))
 
-    # -- group navigation (replica or live fallback) -------------------------
+    # -- group navigation (the group replica) --------------------------------
 
     def group_labels(self):
         """The group replica's interval labels, which answer a
-        descendant step without a walk — or ``None`` when the policy
-        keeps no replica, and the step walks live views instead. A
-        build may happen here, so cancellation is observed first."""
-        if not self.rvm.indexes.policy.replicate_groups:
-            return None
+        descendant step without a walk. A build may happen here, so
+        cancellation is observed first."""
         self.checkpoint()
         return self.group_replica.labels()
 
@@ -360,13 +331,6 @@ class ExecutionContext:
         kept): counted per node, checkpointed once per
         ``engine.batch_size`` nodes so a huge frontier still observes
         cancellation promptly."""
-        if not self.rvm.indexes.policy.replicate_groups:
-            # no replica: one live-view read per view (its own count,
-            # checkpoint and possible degrade), interned at this edge
-            dictionary = global_uri_dictionary()
-            uri_of, children_of = dictionary.uri_of, self.children_of
-            return [*map(dictionary.intern, chain.from_iterable(
-                children_of(uri_of(node)) for node in frontier))]
         self.count("ctx.children_of", len(frontier))
         gather = self.group_replica.children_ids_of_many
         size = self.engine.batch_size
@@ -383,20 +347,7 @@ class ExecutionContext:
     def children_of(self, uri: str) -> tuple[str, ...]:
         self.checkpoint()
         self.count("ctx.children_of")
-        if self.rvm.indexes.policy.replicate_groups:
-            return self.group_replica.children(uri)
-        try:
-            view = self.rvm.view(uri)
-            if view is None:
-                return ()
-            group = view.group
-            members = (group.related() if group.is_finite
-                       else tuple(group.take(256)))
-        except (DataSourceError, ComponentError) as error:
-            self.degrade(_authority_of(uri), "children_of", error,
-                         views_unavailable=1)
-            return ()
-        return tuple(v.view_id.uri for v in members)
+        return self.group_replica.children(uri)
 
     def class_lookup_ids(self, class_name: str) -> KeySet:
         self.checkpoint()
@@ -412,8 +363,6 @@ class ExecutionContext:
         self.checkpoint()
         self.count("ctx.tuple_compare")
         attribute = canonical_attribute(attribute)
-        if not self.rvm.indexes.policy.index_tuples:
-            return self._tuple_scan(attribute, op, value)
         index = self.rvm.indexes.tuple_index
         if op is CompareOp.EQ:
             return index.equals_ids(attribute, value)
@@ -430,28 +379,6 @@ class ExecutionContext:
         if op is CompareOp.LE:
             return index.less_than_ids(attribute, value, inclusive=True)
         raise QueryExecutionError(f"unsupported operator {op}")
-
-    def _tuple_scan(self, attribute: str, op: CompareOp,
-                    value: object) -> KeySet:
-        """Query shipping: evaluate the predicate over live views."""
-        self.count("ctx.tuple_scan")
-        intern = global_uri_dictionary().intern
-        matched: list[int] = []
-        for uri, view in self.rvm.sync.live_views.items():
-            try:
-                candidate = view.tuple_component.get(attribute)
-            except (DataSourceError, ComponentError) as error:
-                self.degrade(_authority_of(uri), "tuple_scan", error,
-                             views_unavailable=1)
-                continue
-            if candidate is None:
-                continue
-            try:
-                if compare_values(op, candidate, value):
-                    matched.append(intern(uri))
-            except QueryExecutionError:
-                continue  # incomparable types never match
-        return KeySet.from_iterable(matched)
 
     def component_value(self, uri: str, ref: QualifiedRef) -> object:
         """Resolve ``A.name`` / ``A.tuple.attr`` / ``A.class`` /

@@ -18,7 +18,7 @@ consists of the four components the paper names:
 
 from .catalog import CatalogRecord, ResourceViewCatalog
 from .converters import default_content_converter
-from .indexes import IndexingPolicy, IndexSet
+from .indexes import IndexSet
 from .manager import ResourceViewManager, SyncReport
 from .proxy import DataSourcePlugin, DataSourceProxy
 from .replicas import GroupReplica
@@ -26,7 +26,7 @@ from .uridict import DictionaryView, UriDictionary, global_uri_dictionary
 
 __all__ = [
     "CatalogRecord", "ResourceViewCatalog", "default_content_converter",
-    "IndexingPolicy", "IndexSet", "ResourceViewManager", "SyncReport",
+    "IndexSet", "ResourceViewManager", "SyncReport",
     "DataSourcePlugin", "DataSourceProxy", "GroupReplica",
     "DictionaryView", "UriDictionary", "global_uri_dictionary",
 ]

@@ -21,49 +21,11 @@ id sets with no per-URI string work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..core.identity import ViewId
 from ..core.resource_view import ResourceView
 from ..fulltext import InvertedIndex
 from ..tupleindex import TupleIndex
 from .replicas import GroupReplica
-
-
-@dataclass(frozen=True)
-class IndexingPolicy:
-    """Which structures to maintain — the replication strategy.
-
-    "As replication may require additional disk and memory space, there
-    is a general trade-off between data versus query shipping [32] that
-    has to be considered when creating replication strategies." Turning
-    a structure off trades index space for query-time work: the query
-    processor falls back to scanning live views (query shipping), which
-    the replication-strategy ablation benchmark quantifies.
-    """
-
-    index_names: bool = True
-    index_content: bool = True
-    index_tuples: bool = True
-    replicate_groups: bool = True
-    #: similarity-index non-text content (histogram signatures, the
-    #: QBIC-style content index of [6]); off by default, matching the
-    #: 2006 prototype
-    index_media: bool = False
-
-    @classmethod
-    def full(cls) -> "IndexingPolicy":
-        return cls()
-
-    @classmethod
-    def with_media(cls) -> "IndexingPolicy":
-        return cls(index_media=True)
-
-    @classmethod
-    def minimal(cls) -> "IndexingPolicy":
-        """Catalog-only: everything answered by scanning live views."""
-        return cls(index_names=False, index_content=False,
-                   index_tuples=False, replicate_groups=False)
 
 
 def _looks_like_text(sample: str, *, window: int = 512,
@@ -81,62 +43,48 @@ class IndexSet:
     """The four component index/replica structures of the prototype."""
 
     def __init__(self, *, infinite_content_window: int = 4096,
-                 infinite_group_window: int = 256,
-                 policy: IndexingPolicy | None = None):
-        self.policy = policy if policy is not None else IndexingPolicy.full()
+                 infinite_group_window: int = 256):
         self.name_index = InvertedIndex(store_text=True)
         self.tuple_index = TupleIndex()
         self.content_index = InvertedIndex(store_text=False)
         self.group_replica = GroupReplica(
             infinite_window=infinite_group_window
         )
-        from ..mediaindex import HistogramIndex
-        self.media_index = HistogramIndex()
         self.infinite_content_window = infinite_content_window
         self._net_input_bytes = 0
 
     # -- writes ------------------------------------------------------------------
 
-    def add_view(self, view: ResourceView) -> str | None:
-        """Index the components the policy covers.
+    def add_view(self, view: ResourceView) -> str:
+        """Index every component of one view.
 
-        Returns the raw content text the content/media branch examined
-        (``None`` when the policy skips content entirely) — the
+        Returns the raw content text the content branch examined — the
         durability layer logs it, since the content index stores
         postings only and the raw text cannot be read back.
         """
         uri = view.view_id.uri
-        if self.policy.index_names:
-            name = view.name
-            if name:
-                self.name_index.add(uri, name)
-        if self.policy.index_tuples:
-            self.tuple_index.add(uri, view.tuple_component)
-        raw = None
-        if self.policy.index_content or self.policy.index_media:
-            content = view.content
-            raw = (content.text() if content.is_finite
-                   else content.take(self.infinite_content_window))
-            self.index_content_raw(uri, raw)
-        if self.policy.replicate_groups:
-            self.group_replica.add(view)
+        name = view.name
+        if name:
+            self.name_index.add(uri, name)
+        self.tuple_index.add(uri, view.tuple_component)
+        content = view.content
+        raw = (content.text() if content.is_finite
+               else content.take(self.infinite_content_window))
+        self.index_content_raw(uri, raw)
+        self.group_replica.add(view)
         return raw
 
     def index_content_raw(self, uri: str, raw: str) -> None:
         """Index one view's already-extracted content text.
 
         The single content dispatch point: text goes to the full-text
-        index (and into the net-input accounting), non-text to the
-        media index when enabled. WAL replay re-applies logged content
-        through here, so replayed state matches live indexing exactly.
+        index (and into the net-input accounting). WAL replay re-applies
+        logged content through here, so replayed state matches live
+        indexing exactly.
         """
-        is_text = bool(raw) and _looks_like_text(raw)
-        if self.policy.index_content and is_text:
+        if raw and _looks_like_text(raw):
             self.content_index.add(uri, raw)
             self._net_input_bytes += len(raw.encode("utf-8", "replace"))
-        if self.policy.index_media and raw and not is_text:
-            # non-text content: similarity-index its histogram
-            self.media_index.add(uri, raw)
 
     def remove_view(self, view_id: ViewId | str) -> None:
         uri = view_id if isinstance(view_id, str) else view_id.uri
@@ -144,14 +92,12 @@ class IndexSet:
         self.tuple_index.remove(uri)
         self.content_index.remove(uri)
         self.group_replica.remove(uri)
-        self.media_index.remove(uri)
 
     # The content path stands in for the prototype's text/PDF extractors:
     # content that does not look like text (images, archives — here: a
     # high ratio of non-printable characters) contributes nothing to the
     # full-text index or the *net input data size* of Table 3, matching
-    # how the paper excludes unconvertible content; with index_media on,
-    # that same content gets a histogram signature instead.
+    # how the paper excludes unconvertible content.
 
     # -- reads ---------------------------------------------------------------------
 
@@ -172,15 +118,12 @@ class IndexSet:
 
     def size_report(self) -> dict[str, int]:
         """Per-structure sizes in bytes (Table 3's columns, sans catalog)."""
-        report = {
+        return {
             "name": self.name_index.size_bytes(),
             "tuple": self.tuple_index.size_bytes(),
             "content": self.content_index.size_bytes(),
             "group": self.group_replica.size_bytes(),
         }
-        if self.policy.index_media:
-            report["media"] = self.media_index.size_bytes()
-        return report
 
     def total_size_bytes(self) -> int:
         return sum(self.size_report().values())

@@ -16,7 +16,7 @@ from ..core.identity import ViewId
 from ..core.resource_view import ResourceView
 from ..pushops import PushBus
 from .catalog import ResourceViewCatalog
-from .indexes import IndexingPolicy, IndexSet
+from .indexes import IndexSet
 from .proxy import DataSourcePlugin, DataSourceProxy
 from .sync import SourceReport, SynchronizationManager
 
@@ -75,12 +75,10 @@ class ResourceViewManager:
     """
 
     def __init__(self, *, infinite_group_window: int = 256,
-                 policy: "IndexingPolicy | None" = None,
                  resilience=None):
         self.proxy = DataSourceProxy()
         self.catalog = ResourceViewCatalog()
-        self.indexes = IndexSet(infinite_group_window=infinite_group_window,
-                                policy=policy)
+        self.indexes = IndexSet(infinite_group_window=infinite_group_window)
         self.bus = PushBus()
         #: optional :class:`~repro.resilience.ResilienceHub`; when set,
         #: every registered plugin is wrapped in a source guard (retry,

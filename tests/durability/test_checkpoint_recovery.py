@@ -2,11 +2,13 @@
 
 The scenarios a durability layer lives for: reopen after clean close,
 reopen with a WAL tail past the checkpoint, checkpoint garbage
-collection, policy pinning, and the engine ≡ oracle check on recovered
-state.
+collection, a hostile ``config.json``, and the engine ≡ oracle check on
+recovered state.
 """
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -16,15 +18,13 @@ from repro.durability import (
     DurabilityConfig,
     DurabilityManager,
     latest_checkpoint,
-    load_config,
-    policy_from_config,
     standard_queries,
     verify_engine_matches_oracle,
 )
 from repro.durability.checkpoint import POINTER_NAME, checkpoint_path
+from repro.durability.manager import PROTOTYPE_POLICY
 from repro.facade import Dataspace
 from repro.imapsim.latency import no_latency
-from repro.rvm.indexes import IndexingPolicy
 
 
 def durable_tiny(directory, **kwargs):
@@ -67,12 +67,6 @@ class TestCheckpoint:
         dataspace = Dataspace()
         with pytest.raises(DurabilityError):
             dataspace.checkpoint()
-
-    def test_config_pins_indexing_policy(self, checkpointed):
-        _, directory, _ = checkpointed
-        config = load_config(directory)
-        assert config["policy"]["index_content"] is True
-        assert policy_from_config(config) == IndexingPolicy()
 
     def test_garbage_collection_keeps_newest(self, tmp_path):
         dataspace = durable_tiny(tmp_path / "space")
@@ -160,14 +154,37 @@ class TestRecovery:
             Dataspace.open(tmp_path / "space", durable=False)
 
     def test_policy_mismatch_refused(self, tmp_path):
+        """A log written under query shipping (here: no content index)
+        cannot be replayed into the four structures."""
         dataspace = durable_tiny(tmp_path / "space")
         dataspace.sync()
         dataspace.close()
+        config = tmp_path / "space" / "config.json"
+        recorded = json.loads(config.read_text())
+        recorded["policy"]["index_content"] = False
+        config.write_text(json.dumps(recorded))
         with pytest.raises(DurabilityError, match="policy"):
-            DurabilityManager(
-                Dataspace(policy=IndexingPolicy(index_content=False)).rvm,
-                DurabilityConfig(directory=tmp_path / "space"),
-            )
+            DurabilityManager(Dataspace().rvm,
+                              DurabilityConfig(directory=tmp_path / "space"))
+
+    @pytest.mark.parametrize("document", [
+        "{not json",
+        "[]",
+        '{"config_version": 1, "policy": "x"}',
+        '{"config_version": 1}',
+        '{"config_version": 99}',
+        json.dumps({"config_version": 1,
+                    "policy": {**PROTOTYPE_POLICY, "index_media": True}}),
+    ], ids=["not-json", "array", "string-policy", "no-policy",
+            "version-99", "media-policy"])
+    @pytest.mark.parametrize("durable", [True, False])
+    def test_hostile_config_is_a_typed_error(self, tmp_path, document,
+                                             durable):
+        directory = tmp_path / "space"
+        directory.mkdir()
+        (directory / "config.json").write_text(document)
+        with pytest.raises(DurabilityError, match="config.json"):
+            Dataspace.open(directory, durable=durable)
 
     def test_unreadable_pointer_raises(self, tmp_path):
         dataspace = durable_tiny(tmp_path / "space")
@@ -219,3 +236,25 @@ class TestDurabilityOverhead:
             "replicate_groups", "index_media",
         }
         dataspace.close()
+
+    def test_config_json_is_fsynced_before_it_is_renamed_in(
+            self, tmp_path, monkeypatch):
+        """Like the ``CHECKPOINT`` pointer: a crash cannot leave an
+        empty ``config.json`` in place."""
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append("fsync")
+            real_fsync(fd)
+
+        def replace(source, target):
+            events.append(Path(target).name)
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        DurabilityManager(Dataspace().rvm, DurabilityConfig(
+            directory=tmp_path / "space", fsync="off")).close()
+        renamed = events.index("config.json")
+        assert renamed > 0 and events[renamed - 1] == "fsync"

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from repro.dataset import TINY_PROFILE
 from repro.facade import Dataspace
 from repro.imapsim.latency import no_latency
-from repro.rvm import IndexingPolicy
 from repro.query.ast import (
     Axis,
     CompareOp,
@@ -42,25 +41,21 @@ from repro.query.ast import (
 # -- randomized dataspaces ----------------------------------------------------
 # Built once per process (hypothesis replays hundreds of examples; a
 # per-example dataspace would dominate the runtime). Two seeds give two
-# different catalogs/graphs; strategies pick one per example. The same
-# corpora are also kept under ``IndexingPolicy.minimal()`` — no index,
-# no replica — where every leaf and every expansion takes its
-# query-shipping fallback.
+# different catalogs/graphs; strategies pick one per example.
 
-_SPACES: dict[tuple[int, bool], Dataspace] = {}
+_SPACES: dict[int, Dataspace] = {}
 SEEDS = (3, 9)
 
 
-def space(index: int, *, minimal: bool = False) -> Dataspace:
-    key = (SEEDS[index], minimal)
-    if key not in _SPACES:
+def space(index: int) -> Dataspace:
+    seed = SEEDS[index]
+    if seed not in _SPACES:
         dataspace = Dataspace.generate(
-            profile=TINY_PROFILE, seed=key[0], imap_latency=no_latency(),
-            policy=IndexingPolicy.minimal() if minimal else None,
+            profile=TINY_PROFILE, seed=seed, imap_latency=no_latency(),
         )
         dataspace.sync()
-        _SPACES[key] = dataspace
-    return _SPACES[key]
+        _SPACES[seed] = dataspace
+    return _SPACES[seed]
 
 
 # -- query strategies ---------------------------------------------------------

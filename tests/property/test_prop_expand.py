@@ -5,13 +5,11 @@ shared between sources — are expanded by :class:`ExpandOperator` over
 multi-batch inputs, on both axes, with and without a candidate filter,
 and the operator must agree with the set-at-a-time oracle
 (:mod:`repro.query.engine.reference`) on the answer and on
-``expanded_views`` (every discovered view counted once). The same
-graphs run under both replication policies. A descendant step over a
-real :class:`GroupReplica` answers from its interval labels and makes
-no ``ctx.children_of`` call at all; where the walk still runs — the
-child axis, and live views under ``replicate_groups=False``, interned
-at that edge — the substrate counter must equal the oracle's (every
-expanded node counted once).
+``expanded_views`` (every discovered view counted once). A descendant
+step over a real :class:`GroupReplica` answers from its interval labels
+and makes no ``ctx.children_of`` call at all; on the child axis, where
+one hop still reads the replica's edges, the substrate counter must
+equal the oracle's (every expanded node counted once).
 """
 
 from __future__ import annotations
@@ -47,12 +45,11 @@ def _chunks(items: list, size: int) -> list[tuple]:
     return [tuple(items[i:i + size]) for i in range(0, len(items), size)]
 
 
-def _oracle(adjacency, sources, candidates, axis, *, replicate):
+def _oracle(adjacency, sources, candidates, axis):
     """(answer, expanded_views, children_of calls) of the reference
-    evaluator under the given replication policy."""
+    evaluator."""
     trace = TraceCollector()
-    ctx = _id_context(replica_rvm("expandprop", adjacency,
-                                  replicate=replicate), trace=trace)
+    ctx = _id_context(replica_rvm("expandprop", adjacency), trace=trace)
     node = ExpandStep(input=AllViews(), axis=axis,
                       candidates=None if candidates is None else AllViews())
     answer = reference_forward(
@@ -63,13 +60,12 @@ def _oracle(adjacency, sources, candidates, axis, *, replicate):
                                                           0)
 
 
-def _check_walk(edges, sources, candidates, axis, batch_size, *, replicate):
+def _check_walk(edges, sources, candidates, axis, batch_size):
     adjacency = _adjacency(edges)
     expected, expanded, calls = _oracle(adjacency, sources, candidates,
-                                        axis, replicate=replicate)
+                                        axis)
     trace = TraceCollector()
-    ctx = _id_context(replica_rvm("expandprop", adjacency,
-                                  replicate=replicate), trace=trace,
+    ctx = _id_context(replica_rvm("expandprop", adjacency), trace=trace,
                       engine=EngineConfig(batch_size=batch_size))
     expand = ExpandOperator(
         StaticSource(*_chunks(sorted(_uri(n) for n in sources),
@@ -83,9 +79,8 @@ def _check_walk(edges, sources, candidates, axis, batch_size, *, replicate):
     assert len(got) == len(set(got))  # a set, delivered in chunks
     assert set(ctx.dict_view.uris_for(got)) == expected
     assert ctx.expanded_views == expanded
-    walked = axis is Axis.CHILD or not replicate
-    assert trace.counters.get("ctx.children_of", 0) == (calls if walked
-                                                        else 0)
+    assert trace.counters.get("ctx.children_of", 0) == (
+        calls if axis is Axis.CHILD else 0)
 
 
 class TestFrontierWalkMatchesOracle:
@@ -93,14 +88,4 @@ class TestFrontierWalkMatchesOracle:
            st.integers(1, 5))
     @settings(max_examples=150, deadline=None)
     def test_id_space(self, edges, sources, candidates, axis, batch_size):
-        _check_walk(edges, sources, candidates, axis, batch_size,
-                    replicate=True)
-
-    @given(_EDGES, _NODE_SETS, st.none() | _NODE_SETS, _AXES,
-           st.integers(1, 5))
-    @settings(max_examples=150, deadline=None)
-    def test_policy_off(self, edges, sources, candidates, axis, batch_size):
-        """No group replica: the edges come from live views, one
-        ``ctx.children_of`` call per expanded view."""
-        _check_walk(edges, sources, candidates, axis, batch_size,
-                    replicate=False)
+        _check_walk(edges, sources, candidates, axis, batch_size)

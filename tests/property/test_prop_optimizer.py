@@ -16,8 +16,6 @@ only mean an optimizer bug.
 
 from __future__ import annotations
 
-import os
-
 from hypothesis import given, settings, strategies as st
 
 from repro.query.engine import materialize_set, reference_execute
@@ -26,13 +24,6 @@ from repro.query.optimizer import optimize
 from repro.query.plan import Limit
 
 from .queries import QUERIES as _QUERIES, SEEDS as _SEEDS, space as _space
-
-
-#: the no-index differential costs ~1 s an example (every leaf scans live
-#: views): CI's derandomized profile runs the full 25, a plain local
-#: tier-1 run a sample of 5 (see tests/conftest.py for the profiles)
-_NO_INDEX_EXAMPLES = (25 if os.environ.get("HYPOTHESIS_PROFILE") == "ci"
-                      else 5)
 
 
 def _uris(plan, dataspace):
@@ -84,15 +75,6 @@ class TestEngineDifferential:
     @settings(max_examples=200, deadline=None)
     def test_batched_engine_matches_reference_evaluator(self, query, index):
         self._check(_space(index), query)
-
-    @given(_QUERIES, st.integers(0, len(_SEEDS) - 1))
-    @settings(max_examples=_NO_INDEX_EXAMPLES, deadline=None)
-    def test_engine_matches_reference_without_indexes(self, query, index):
-        """The same corpus under ``IndexingPolicy.minimal()``: content
-        and tuple leaves scan live views, names come off the catalog,
-        expansion reads live groups — all of it interned at the
-        context's edge, so the engine still moves only ids."""
-        self._check(_space(index, minimal=True), query)
 
     @given(_QUERIES, st.integers(0, len(_SEEDS) - 1), st.integers(0, 40))
     @settings(max_examples=100, deadline=None)

@@ -396,14 +396,12 @@ class TestExpandOperator:
 
 # -- expansion over the replica (catalog-id space) ---------------------------
 
-def replica_rvm(authority: str, adjacency: dict, *, replicate=True):
+def replica_rvm(authority: str, adjacency: dict):
     """An RVM whose group replica holds exactly ``adjacency`` (node
-    name -> child names; a node's URI is ``ViewId(authority, name)``).
-    With ``replicate=False`` the policy keeps no replica and the same
-    graph is held as live views instead (query shipping)."""
+    name -> child names; a node's URI is ``ViewId(authority, name)``)."""
     from repro.core.identity import ViewId
     from repro.core.resource_view import ResourceView
-    from repro.rvm import IndexingPolicy, ResourceViewManager
+    from repro.rvm import ResourceViewManager
     views: dict = {}
 
     def make(name):
@@ -415,14 +413,9 @@ def replica_rvm(authority: str, adjacency: dict, *, replicate=True):
             )
         return views[name]
 
-    rvm = ResourceViewManager(
-        policy=IndexingPolicy(replicate_groups=replicate))
+    rvm = ResourceViewManager()
     for name in adjacency:
-        view = make(name)
-        if replicate:
-            rvm.indexes.group_replica.add(view)
-        else:
-            rvm.sync.live_views[view.view_id.uri] = view
+        rvm.indexes.group_replica.add(make(name))
     return rvm
 
 
@@ -530,22 +523,23 @@ class TestExpandOverReplica:
         assert sum(1 for k in keys if k % KEY_GAP) == 1  # the overlay key
 
 
-# -- expansion without the replica (query shipping) --------------------------
+# -- expansion from a late id ------------------------------------------------
 
-class TestExpandWithoutReplica:
+class TestExpandLateId:
     def test_uncatalogued_root_expands_through_a_late_id(self):
         """``/*/*`` over a plugin that was registered but never synced:
         its root is in no catalog, so ``root_ids`` interns it after the
         execution captured its view — a late id, bound through the
-        overlay — and the walk still reaches the root's children by
-        resolving it live."""
+        overlay. The group replica holds no edge out of it, so the
+        child step reaches only the synced source's children, exactly
+        as the oracle does."""
         from repro.query import QueryProcessor
         from repro.query.engine import reference_execute
         from repro.query.executor import ExecutionContext
-        from repro.rvm import IndexingPolicy, ResourceViewManager
+        from repro.rvm import ResourceViewManager
         from repro.rvm.plugins import FilesystemPlugin
         from repro.vfs import VirtualFileSystem
-        rvm = ResourceViewManager(policy=IndexingPolicy.minimal())
+        rvm = ResourceViewManager()
         for authority, synced in (("fs", True), ("lateroot", False)):
             fs = VirtualFileSystem()
             fs.mkdir("/docs", parents=True)
@@ -559,47 +553,11 @@ class TestExpandWithoutReplica:
         stream = processor.execute_iter("/*/*")
         answer = set(stream)
         assert "lateroot:///" in stream._ctx.dict_view._overlay
-        assert {"fs:///docs", "lateroot:///docs"} <= answer
+        assert "fs:///docs" in answer
+        assert not any(uri.startswith("lateroot:") for uri in answer)
         oracle = ExecutionContext(rvm, processor.functions)
         plan = processor._prepared_plan(processor.prepare("/*/*"), oracle)
         assert answer == reference_execute(plan, oracle)
-
-    def test_failing_source_degrades_exactly_its_own_views(self):
-        """Two live views raise on group access: the walk loses their
-        subtrees and nothing else, and records one incident per failed
-        view — the same count the oracle's per-view walk records."""
-        from repro.core.errors import DataSourceError
-        from repro.core.identity import ViewId
-        from repro.core.resource_view import ResourceView
-        from repro.query.engine.reference import _forward
-        from repro.query.plan import AllViews, ExpandStep
-        from repro.trace import TraceCollector
-        rvm = replica_rvm("shipped", {
-            "root": ["ok", "bad/0", "bad/1"], "ok": ["ok/x"], "ok/x": [],
-        }, replicate=False)
-
-        def unreachable():
-            raise DataSourceError("source is down")
-
-        for name in ("bad/0", "bad/1"):
-            view_id = ViewId("shipped", name)
-            rvm.sync.live_views[view_id.uri] = ResourceView(
-                name, group=unreachable, view_id=view_id)
-        root = ViewId("shipped", "root").uri
-        engine = _id_context(rvm, trace=TraceCollector())
-        expand = ExpandOperator(StaticSource([root]), None,
-                                Axis.DESCENDANT)
-        expand.open(engine)
-        answer = set(engine.dict_view.uris_for(list(drain(expand))))
-        oracle = _id_context(rvm, trace=TraceCollector())
-        step = ExpandStep(input=AllViews(), axis=Axis.DESCENDANT)
-        assert answer == _forward(step, oracle, {root}) == {
-            ViewId("shipped", n).uri for n in ("ok", "bad/0", "bad/1",
-                                               "ok/x")}
-        assert engine.trace.counters["ctx.source_degraded"] \
-            == oracle.trace.counters["ctx.source_degraded"] == 2
-        assert engine.degradation.views_unavailable == 2
-        assert engine.degradation.sources_skipped == ["shipped"]
 
 
 # -- name scan ---------------------------------------------------------------

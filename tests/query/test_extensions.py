@@ -1,15 +1,9 @@
-"""Tests for the query-engine extensions: ranked search and the
-indexing-policy fallbacks."""
-
-from datetime import datetime
+"""Tests for the query-engine extension: ranked search."""
 
 import pytest
 
-from repro.imapsim import ImapServer
-from repro.imapsim.latency import no_latency
-from repro.query import QueryProcessor
 from repro.query.ranking import ranked_search
-from repro.rvm import IndexingPolicy, ResourceViewManager, default_content_converter
+from repro.rvm import ResourceViewManager, default_content_converter
 from repro.rvm.plugins import FilesystemPlugin
 from repro.vfs import VirtualFileSystem
 
@@ -70,44 +64,3 @@ class TestRankedSearch:
     def test_no_matches(self, rvm):
         assert ranked_search(rvm, "qqqqq", limit=5) == []
 
-
-class TestPolicyFallbacks:
-    @pytest.fixture(scope="class")
-    def pair(self):
-        def build(policy):
-            fs = VirtualFileSystem()
-            fs.mkdir("/docs", parents=True)
-            fs.write_file("/docs/a.tex", TEX)
-            fs.write_file("/docs/n.txt", "database tuning text")
-            manager = ResourceViewManager(policy=policy)
-            manager.register_plugin(FilesystemPlugin(
-                fs, content_converter=default_content_converter()
-            ))
-            manager.sync_all()
-            return manager
-
-        return build(None), build(IndexingPolicy.minimal())
-
-    @pytest.mark.parametrize("query", [
-        '"database tuning"',
-        '[size > 10]',
-        '//docs//Introduction',
-        '//docs//?onclusion*',
-    ])
-    def test_minimal_policy_equivalent(self, pair, query):
-        full, minimal = pair
-        full_result = QueryProcessor(full).execute(query)
-        minimal_result = QueryProcessor(minimal).execute(query)
-        assert set(full_result.uris()) == set(minimal_result.uris())
-
-    def test_minimal_policy_smaller_indexes(self, pair):
-        full, minimal = pair
-        assert minimal.indexes.total_size_bytes() < \
-            full.indexes.total_size_bytes()
-
-    def test_minimal_skips_structures(self, pair):
-        _, minimal = pair
-        assert minimal.indexes.content_index.document_count == 0
-        assert minimal.indexes.name_index.document_count == 0
-        assert len(minimal.indexes.tuple_index) == 0
-        assert len(minimal.indexes.group_replica) == 0

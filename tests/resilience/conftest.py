@@ -57,12 +57,11 @@ def fast_config(*, seed: int = 0, max_attempts: int = 3,
     return config
 
 
-def three_source_dataspace(*, resilience=None, policy=None,
+def three_source_dataspace(*, resilience=None,
                            seed: int = 7) -> Dataspace:
     """A tiny dataspace over all three source kinds (vfs, imap, rss)."""
     generated = PersonalDataspaceGenerator(
         TINY_PROFILE, seed=seed, imap_latency=no_latency()
     ).generate()
     return Dataspace(vfs=generated.vfs, imap=generated.imap,
-                     feeds=generated.feeds, resilience=resilience,
-                     policy=policy)
+                     feeds=generated.feeds, resilience=resilience)

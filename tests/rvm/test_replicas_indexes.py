@@ -362,47 +362,3 @@ class TestIndexSet:
         indexes.add_view(self._file())
         report = indexes.size_report()
         assert indexes.total_size_bytes() == sum(report.values())
-
-
-class TestMediaIndexing:
-    def _binary(self, palette="\x01\x02\x03", size=600):
-        return "".join(palette[i % len(palette)] for i in range(size))
-
-    def test_media_off_by_default(self):
-        indexes = IndexSet()
-        indexes.add_view(_view("/img.jpg", "img.jpg",
-                               content=self._binary()))
-        assert len(indexes.media_index) == 0
-        assert "media" not in indexes.size_report()
-
-    def test_media_policy_indexes_binary_only(self):
-        from repro.rvm.indexes import IndexingPolicy
-        indexes = IndexSet(policy=IndexingPolicy.with_media())
-        indexes.add_view(_view("/img.jpg", "img.jpg",
-                               content=self._binary()))
-        indexes.add_view(_view("/doc.txt", "doc.txt",
-                               content="plain readable text here"))
-        assert "fs:///img.jpg" in indexes.media_index
-        assert "fs:///doc.txt" not in indexes.media_index
-        assert "fs:///doc.txt" in indexes.content_index
-        assert "media" in indexes.size_report()
-
-    def test_similarity_search_over_indexed_media(self):
-        from repro.rvm.indexes import IndexingPolicy
-        indexes = IndexSet(policy=IndexingPolicy.with_media())
-        indexes.add_view(_view("/a.jpg", "a.jpg",
-                               content=self._binary("\x01\x02")))
-        indexes.add_view(_view("/b.jpg", "b.jpg",
-                               content=self._binary("\x01\x02\x02")))
-        indexes.add_view(_view("/c.jpg", "c.jpg",
-                               content=self._binary("\x07\x08")))
-        nearest = indexes.media_index.similar_to_key("fs:///a.jpg", k=1)
-        assert nearest[0][0] == "fs:///b.jpg"
-
-    def test_remove_clears_media(self):
-        from repro.rvm.indexes import IndexingPolicy
-        indexes = IndexSet(policy=IndexingPolicy.with_media())
-        view = _view("/img.jpg", "img.jpg", content=self._binary())
-        indexes.add_view(view)
-        indexes.remove_view(view.view_id)
-        assert "fs:///img.jpg" not in indexes.media_index

@@ -7,7 +7,6 @@ import pytest
 from repro.facade import Dataspace
 from repro.imapsim import EmailMessage, ImapServer
 from repro.imapsim.latency import no_latency
-from repro.rvm import IndexingPolicy
 from repro.vfs import VirtualFileSystem
 
 
@@ -37,10 +36,10 @@ class TestConstruction:
 
     def test_generate_passthrough_kwargs(self):
         dataspace = Dataspace.generate(
-            scale=0.001, imap_latency=no_latency(),
-            policy=IndexingPolicy.minimal(),
+            scale=0.001, imap_latency=no_latency(), resilience=True,
         )
-        assert not dataspace.rvm.indexes.policy.index_content
+        assert dataspace.resilience is not None
+        assert dataspace.rvm.resilience is dataspace.resilience
 
     def test_demo_reproducible(self):
         a = Dataspace.demo(seed=9)

@@ -12,23 +12,7 @@ import pytest
 
 from repro.core.errors import QueryCancelled
 from repro.core.resource_view import ResourceView
-from repro.dataset import TINY_PROFILE
-from repro.facade import Dataspace
-from repro.imapsim.latency import no_latency
-from repro.rvm.indexes import IndexingPolicy
 from repro.trace import TraceCollector
-
-
-@pytest.fixture(scope="module")
-def unindexed_content_dataspace() -> Dataspace:
-    """Content *not* replicated: keyword queries fall back to the
-    query-shipping path (scanning live views) instead of the index."""
-    dataspace = Dataspace.generate(
-        profile=TINY_PROFILE, seed=5, imap_latency=no_latency(),
-        policy=IndexingPolicy(index_content=False),
-    )
-    dataspace.sync()
-    return dataspace
 
 
 class TestLazinessVisibility:
@@ -47,24 +31,6 @@ class TestLazinessVisibility:
         counters = report.trace.counters
         assert counters.get("ctx.content_search", 0) >= 1
         assert counters.get("component.content.materialized", 0) == 0
-
-    def test_query_shipping_falls_back_to_a_content_scan(
-            self, unindexed_content_dataspace):
-        """Without the content index, keyword search must take the
-        query-shipping path — and the trace makes that visible. (The
-        scan reads live views whose components sync already forced, so
-        no *new* materializations occur; first-force accounting is
-        covered by the direct tests below.)"""
-        report = unindexed_content_dataspace.explain_analyze('"database"')
-        counters = report.trace.counters
-        assert counters.get("ctx.content_scan", 0) >= 1
-        assert len(report.result) > 0
-
-    def test_name_only_query_shipping_still_fetches_no_content(
-            self, unindexed_content_dataspace):
-        report = unindexed_content_dataspace.explain_analyze("//*.tex")
-        assert report.trace.counters.get(
-            "component.content.materialized", 0) == 0
 
     def test_first_force_of_a_lazy_component_is_counted_once(self):
         trace = TraceCollector()
