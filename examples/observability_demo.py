@@ -4,8 +4,8 @@ Every subsystem of the PDSMS records into one process-global telemetry
 spine (``repro.obs``): counters and gauges under a dotted naming
 convention, a structured JSON event log, and a slow-query log that
 captures the EXPLAIN ANALYZE span tree of any query over the
-threshold. This demo syncs a dataspace with one faulty source, runs a
-few queries, and shows what each organ saw — ending with the
+threshold. This demo syncs a dataspace over three sources, runs a few
+queries, and shows what each organ saw — ending with the
 Prometheus exposition a scraper would collect.
 
 Run:  python examples/observability_demo.py
@@ -15,35 +15,28 @@ from repro import obs
 from repro.dataset import TINY_PROFILE, PersonalDataspaceGenerator
 from repro.facade import Dataspace
 from repro.imapsim.latency import no_latency
-from repro.resilience import FaultPlan, ResilienceConfig, RetryPolicy
 
 
 def build() -> Dataspace:
     generated = PersonalDataspaceGenerator(
         TINY_PROFILE, seed=42, imap_latency=no_latency()
     ).generate()
-    return Dataspace(
-        vfs=generated.vfs, imap=generated.imap, feeds=generated.feeds,
-        resilience=ResilienceConfig(
-            retry=RetryPolicy(max_attempts=3),
-            breaker_failure_threshold=3,
-        ).with_fast_backoff(),
-    )
+    return Dataspace(vfs=generated.vfs, imap=generated.imap,
+                     feeds=generated.feeds)
 
 
 obs.reset(slow_query_seconds=0.0)  # demo: capture *every* query as slow
 
 print("=" * 70)
-print("1. a sync over a flaky source feeds sync.* and resilience.*")
+print("1. a sync over three sources feeds sync.* and index.*")
 print("=" * 70)
 dataspace = build()
-dataspace.inject_faults("imap", FaultPlan(seed=7, transient_rate=0.4))
 report = dataspace.sync()
 print(f"synced {report.views_total} views "
       f"(degraded={report.is_degraded})")
 snapshot = dataspace.telemetry()
 for name in ("sync.sources_scanned", "sync.views_synced",
-             'resilience.retries{source="imap"}'):
+             'index.entries{index="catalog"}'):
     print(f"  {name} = {snapshot.get(name, 0)}")
 
 print()

@@ -21,7 +21,7 @@ The package mirrors the iMeMex PDSMS architecture:
 * beyond the paper — :mod:`repro.cli` (``python -m repro``) and
   ranking inside :mod:`repro.query`; the serving stack
   (:mod:`repro.service`, :mod:`repro.durability`,
-  :mod:`repro.supervise`, :mod:`repro.resilience`, :mod:`repro.obs`,
+  :mod:`repro.supervise`, :mod:`repro.obs`,
   :mod:`repro.trace`) is listed in DESIGN.md.
 
 Quickstart::

@@ -15,7 +15,6 @@ Usage (module form)::
     python -m repro tables --scale 0.05
     python -m repro serve  --clients 1,4,16 --requests 25
     python -m repro serve  --shards 3 --kill-shard 0
-    python -m repro chaos  --target imap --transient-rate 0.3
     python -m repro checkpoint /tmp/space --scale 0.02
     python -m repro recover /tmp/space --verify
     python -m repro fsck /tmp/space
@@ -66,8 +65,8 @@ def _build(args: argparse.Namespace) -> Dataspace:
 def _exercise_telemetry(dataspace: Dataspace) -> None:
     """Run the paper's query mix through a short serve session so the
     telemetry snapshot covers every namespace (``query.*``, ``sync.*``,
-    ``index.*``, ``resilience.*``, ``service.*``), not just the sync
-    that :func:`_build` already performed."""
+    ``index.*``, ``service.*``), not just the sync that :func:`_build`
+    already performed."""
     with dataspace.serve(workers=2) as service:
         for iql in PAPER_QUERIES.values():
             service.execute(iql, timeout=60.0)
@@ -196,8 +195,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.shards:
         return _cmd_stats_fleet(args)
     dataspace = Dataspace.generate(scale=args.scale, seed=args.seed,
-                                   imap_latency=no_latency(),
-                                   resilience=True)
+                                   imap_latency=no_latency())
     dataspace.sync()
     if not args.no_exercise:
         _exercise_telemetry(dataspace)
@@ -512,62 +510,6 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Run the paper's query mix against a dataspace with one flaky
-    source, printing per-query degradation and the final source health."""
-    from .resilience import FaultPlan, ResilienceConfig, RetryPolicy
-
-    config = ResilienceConfig(
-        retry=RetryPolicy(max_attempts=args.retries),
-        breaker_failure_threshold=args.breaker_threshold,
-        breaker_cooldown_seconds=args.breaker_cooldown,
-        seed=args.chaos_seed,
-    ).with_fast_backoff()
-    dataspace = Dataspace.generate(scale=args.scale, seed=args.seed,
-                                   imap_latency=no_latency(),
-                                   resilience=config)
-    plan = FaultPlan(seed=args.chaos_seed,
-                     transient_rate=args.transient_rate,
-                     timeout_rate=args.timeout_rate)
-    if args.outage_after is not None:
-        plan.outage(after=args.outage_after)
-    dataspace.inject_faults(args.target, plan)
-
-    report = dataspace.sync()
-    if report.is_degraded:
-        print(f"sync degraded: skipped={report.sources_skipped} "
-              f"errors={sum(len(e) for e in report.errors.values())}")
-    else:
-        print(f"sync complete: {report.views_total} views")
-
-    rows = []
-    for qid, iql in PAPER_QUERIES.items():
-        result = dataspace.query(iql)
-        rows.append([qid, len(result),
-                     "degraded" if result.is_degraded else "ok",
-                     result.degradation.retries_spent,
-                     ",".join(result.degradation.sources_skipped) or "-"])
-    print(format_table(
-        ["query", "results", "status", "retries", "skipped sources"],
-        rows,
-        title=(f"chaos workload (target={args.target}, "
-               f"transient={args.transient_rate:.0%}, "
-               f"chaos-seed={args.chaos_seed})"),
-    ))
-    print()
-    health_rows = [
-        [authority, row["state"], row["retries"], row["failures"],
-         row["short_circuits"], row["times_opened"]]
-        for authority, row in dataspace.health().items()
-    ]
-    print(format_table(
-        ["source", "breaker", "retries", "failures", "short-circuits",
-         "times opened"],
-        health_rows, title="source health",
-    ))
-    return 0
-
-
 def _cmd_checkpoint(args: argparse.Namespace) -> int:
     """Make (or reopen) a durable dataspace and checkpoint it."""
     from .durability import load_config
@@ -757,29 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: a third of the workload)")
     _add_dataset_options(serve)
     serve.set_defaults(handler=_cmd_serve)
-
-    chaos = commands.add_parser(
-        "chaos", help="inject faults into one source and run the query "
-                      "mix degraded (deterministic per --chaos-seed)"
-    )
-    chaos.add_argument("--target", default="imap",
-                       help="authority to make flaky (default imap)")
-    chaos.add_argument("--transient-rate", type=float, default=0.3,
-                       help="transient fault probability (default 0.3)")
-    chaos.add_argument("--timeout-rate", type=float, default=0.0,
-                       help="timeout fault probability (default 0)")
-    chaos.add_argument("--outage-after", type=int, default=None,
-                       help="permanent outage after N source calls")
-    chaos.add_argument("--chaos-seed", type=int, default=0,
-                       help="fault schedule seed (default 0)")
-    chaos.add_argument("--retries", type=int, default=3,
-                       help="retry budget per source call (default 3)")
-    chaos.add_argument("--breaker-threshold", type=int, default=5,
-                       help="consecutive failures to open the breaker")
-    chaos.add_argument("--breaker-cooldown", type=float, default=30.0,
-                       help="breaker cool-down seconds (default 30)")
-    _add_dataset_options(chaos)
-    chaos.set_defaults(handler=_cmd_chaos)
 
     checkpoint = commands.add_parser(
         "checkpoint", help="checkpoint a durable dataspace (snapshot + "

@@ -119,35 +119,6 @@ class DataSourceError(IdmError):
     """A data-source plugin failed to enumerate or fetch items."""
 
 
-class TransientSourceError(DataSourceError):
-    """A data source failed in a way that may succeed on retry.
-
-    The resilience engine (``repro.resilience``) retries these with
-    backoff; anything else raised by a plugin is treated as permanent
-    for the current call.
-    """
-
-
-class SourceTimeout(TransientSourceError):
-    """A data-source call exceeded its (real or simulated) deadline."""
-
-
-class SourceUnavailable(DataSourceError):
-    """A data source is (currently) unreachable.
-
-    Raised when retries on a source are exhausted or its circuit
-    breaker is open. Carries the authority so degradation reports can
-    name the source, and ``retry_after`` (seconds) when a breaker knows
-    its cool-down.
-    """
-
-    def __init__(self, message: str, *, authority: str | None = None,
-                 retry_after: float | None = None) -> None:
-        super().__init__(message)
-        self.authority = authority
-        self.retry_after = retry_after
-
-
 class ProviderFailed(ComponentError):
     """A lazy component's provider kept failing.
 

@@ -38,19 +38,11 @@ class Dataspace:
                  imap: ImapServer | None = None,
                  feeds: FeedServer | None = None,
                  reference_datetime: datetime | None = None,
-                 resilience=None, durability=None):
+                 durability=None):
         self.vfs = vfs
         self.imap = imap
         self.feeds = feeds
-        # resilience: True → default config; a ResilienceConfig → a hub
-        # with it; a ready ResilienceHub passes through; None → off.
-        from .resilience import ResilienceConfig, ResilienceHub
-        if resilience is True:
-            resilience = ResilienceHub(ResilienceConfig())
-        elif isinstance(resilience, ResilienceConfig):
-            resilience = ResilienceHub(resilience)
-        self.resilience = resilience
-        self.rvm = ResourceViewManager(resilience=resilience)
+        self.rvm = ResourceViewManager()
         # durability: a directory path → default config over it; a
         # DurabilityConfig → a manager with it; None → off (in-memory).
         # Attached before any sync so the WAL covers the initial scan.
@@ -94,8 +86,8 @@ class Dataspace:
                  **kwargs) -> "Dataspace":
         """A synthetic dataspace from a profile (or a paper-scale factor).
 
-        Extra keyword arguments (``resilience``, ``durability``) pass
-        through to the constructor.
+        Extra keyword arguments (``durability``, ``reference_datetime``)
+        pass through to the constructor.
         """
         if profile is None:
             profile = scaled_profile(scale if scale is not None else 0.02)
@@ -291,32 +283,6 @@ class Dataspace:
         return DataspaceService(self, workers=workers,
                                 max_queue_depth=max_queue_depth, **kwargs)
 
-    # -- resilience -------------------------------------------------------------------
-
-    def inject_faults(self, authority: str, plan) -> None:
-        """Wrap a registered source with a fault plan (chaos testing).
-
-        The :class:`~repro.resilience.FaultyPluginWrapper` sits *inside*
-        the source guard (when resilience is on), so injected faults
-        exercise the real retry/breaker path.
-        """
-        from .resilience import FaultyPluginWrapper
-        from .resilience.engine import GuardedPlugin
-        plugin = self.rvm.proxy.plugin_for(authority)
-        if isinstance(plugin, GuardedPlugin):
-            plugin.inner = FaultyPluginWrapper(plugin.inner, plan)
-        else:
-            self.rvm.proxy.swap(
-                authority, FaultyPluginWrapper(plugin, plan)
-            )
-
-    def health(self) -> dict[str, dict[str, object]]:
-        """Per-source availability: breaker state, retries, failures.
-
-        Empty when the dataspace was built without ``resilience``.
-        """
-        return self.rvm.health_snapshot()
-
     # -- introspection ----------------------------------------------------------------------
 
     @property
@@ -329,7 +295,7 @@ class Dataspace:
     def telemetry(self) -> dict[str, object]:
         """Flat snapshot of the process-global telemetry registry
         (:mod:`repro.obs`): every ``query.*``/``sync.*``/``index.*``/
-        ``resilience.*``/``service.*`` series this process recorded."""
+        ``service.*`` series this process recorded."""
         from . import obs
         return obs.global_metrics().snapshot()
 

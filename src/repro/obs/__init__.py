@@ -4,8 +4,8 @@ One process-global spine with three organs:
 
 * :func:`global_metrics` — the :class:`MetricsRegistry` every subsystem
   records into, under one dotted naming convention (``query.*``,
-  ``sync.*``, ``index.*``, ``resilience.*``, ``service.*``); rendered
-  as Prometheus exposition text, JSON, or a human table;
+  ``sync.*``, ``index.*``, ``service.*``, ``wal.*``, ``supervise.*``);
+  rendered as Prometheus exposition text, JSON, or a human table;
 * :func:`global_events` — the structured :class:`EventLog` (ring
   buffer, severities, optional sink, deterministic sampling);
 * :func:`global_slowlog` — the :class:`SlowQueryLog`, automatically

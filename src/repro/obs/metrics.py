@@ -7,20 +7,21 @@ dotted naming convention —
 * ``query.*``       — the query processor and batched engine
 * ``sync.*``        — the synchronization manager and push bus
 * ``index.*``       — index/replica/catalog sizes (callback gauges)
-* ``resilience.*``  — source guards: retries, breakers
 * ``service.*``     — the concurrent query service
+* ``wal.*``         — the durability layer (WAL, checkpoints, recovery)
+* ``supervise.*``   — the shard supervisor (restarts, breakers, epochs)
 
 No external dependency — histograms keep raw observations (bounded by
 a reservoir) and compute p50/p95/p99 on snapshot, which is exact for
 the request volumes the benchmarks drive. All types are thread-safe;
 workers record from pool threads while clients snapshot from theirs.
 
-Metrics may carry **labels** (``registry.counter("resilience.retries",
-labels={"source": "imap"})``); each distinct label set is its own time
+Metrics may carry **labels** (``registry.counter("query.executions",
+labels={"tenant": "alice"})``); each distinct label set is its own time
 series, exactly as in Prometheus. Snapshots key labeled series as
 ``name{key="value"}``. **Callback gauges** are evaluated only at
 snapshot time and hold their owner by weak reference, so instrumented
-structures (indexes, breakers) pay nothing on their hot paths and die
+structures (indexes, the catalog) pay nothing on their hot paths and die
 without deregistration ceremony.
 
 :meth:`MetricsRegistry.render_prometheus` emits the text exposition

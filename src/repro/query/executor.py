@@ -26,11 +26,6 @@ from ..core.errors import (
 )
 from ..core.resource_view import ResourceView
 from ..fulltext.query import Phrase, Term, Wildcard
-from ..resilience.engine import (
-    install_resilience_sink,
-    uninstall_resilience_sink,
-)
-from ..resilience.report import DegradationReport
 from ..rvm.keyset import KeySet
 from ..rvm.manager import ResourceViewManager
 from ..rvm.uridict import global_uri_dictionary
@@ -98,20 +93,59 @@ def _authority_of(uri: str) -> str:
     return uri.split("://", 1)[0] if "://" in uri else uri
 
 
-class _ResilienceObserver:
-    """Per-execution resilience sink: forwards retry/breaker counters
-    into the trace (when tracing) and tallies retries spent into the
-    execution's degradation report."""
+@dataclass(frozen=True)
+class SourceIncident:
+    """One degraded data-source interaction during an execution."""
 
-    __slots__ = ("ctx",)
+    authority: str
+    operation: str
+    error: str
 
-    def __init__(self, ctx: "ExecutionContext"):
-        self.ctx = ctx
 
-    def count(self, name: str, amount: int = 1) -> None:
-        self.ctx.count(name, amount)
-        if name.endswith(".retry"):
-            self.ctx.degradation.retries_spent += amount
+@dataclass
+class DegradationReport:
+    """What one execution had to do without: the "what this answer is
+    missing" attachment on every :class:`QueryResult` (empty in the
+    happy case), rendered by the CLI, ``explain_analyze`` and the
+    service metrics."""
+
+    incidents: list[SourceIncident] = field(default_factory=list)
+    #: views whose components could not be reached (skipped, not stale)
+    views_unavailable: int = 0
+
+    @property
+    def is_degraded(self) -> bool:
+        return bool(self.incidents) or self.views_unavailable > 0
+
+    @property
+    def sources_skipped(self) -> list[str]:
+        """Authorities that degraded at least once, sorted."""
+        return sorted({i.authority for i in self.incidents})
+
+    def record(self, authority: str, operation: str,
+               error: BaseException | str, *,
+               views_unavailable: int = 0) -> None:
+        self.incidents.append(SourceIncident(
+            authority=authority, operation=operation, error=str(error),
+        ))
+        self.views_unavailable += views_unavailable
+
+    def summary(self) -> str:
+        """One line for CLI/log output."""
+        if not self.is_degraded:
+            return "complete (no sources skipped)"
+        skipped = ",".join(self.sources_skipped) or "-"
+        return (f"degraded: sources={skipped} "
+                f"incidents={len(self.incidents)} "
+                f"views_unavailable={self.views_unavailable}")
+
+    def render(self) -> str:
+        """Multi-line report: the summary plus each incident."""
+        lines = [self.summary()]
+        for incident in self.incidents:
+            lines.append(f"  {incident.authority}.{incident.operation}: "
+                         f"{incident.error}")
+        return "\n".join(lines)
 
 
 class ExecutionContext:
@@ -627,41 +661,35 @@ class QueryProcessor:
                                engine=engine, tenant=tenant)
         scope = trace.activate() if trace is not None else nullcontext()
         started = time.perf_counter()
-        # retries/breaker events fired by source guards during this
-        # execution land in the trace counters and the degradation report
-        sink_token = install_resilience_sink(_ResilienceObserver(ctx))
-        try:
-            with scope:
-                if isinstance(prepared.ast, JoinExpr):
-                    plan = self._prepared_join(prepared, ctx, trace=trace)
-                    pairs = plan.execute_pairs(ctx)
-                    if limit is not None:
-                        pairs = pairs[:limit]
-                    elapsed = time.perf_counter() - started
-                    self._record_execution(
-                        prepared.text, elapsed, rows=len(pairs),
-                        trace=trace, plan_text=plan.explain(),
-                        degradation=ctx.degradation, tenant=tenant,
-                    )
-                    return QueryResult(
-                        query=prepared.text,
-                        pairs=[JoinHit(self._hit(l), self._hit(r))
-                               for l, r in pairs],
-                        elapsed_seconds=elapsed,
-                        expanded_views=ctx.expanded_views,
-                        plan_text=plan.explain(),
-                        trace=trace,
-                        degradation=ctx.degradation,
-                    )
-                plan = self._prepared_plan(prepared, ctx, trace=trace,
-                                           limit=limit)
-                keys = array("q")
-                ordered = True
-                for batch in iter_batches(plan, ctx):
-                    keys.extend(batch.keys)
-                    ordered = ordered and batch.ordered
-        finally:
-            uninstall_resilience_sink(sink_token)
+        with scope:
+            if isinstance(prepared.ast, JoinExpr):
+                plan = self._prepared_join(prepared, ctx, trace=trace)
+                pairs = plan.execute_pairs(ctx)
+                if limit is not None:
+                    pairs = pairs[:limit]
+                elapsed = time.perf_counter() - started
+                self._record_execution(
+                    prepared.text, elapsed, rows=len(pairs),
+                    trace=trace, plan_text=plan.explain(),
+                    degradation=ctx.degradation, tenant=tenant,
+                )
+                return QueryResult(
+                    query=prepared.text,
+                    pairs=[JoinHit(self._hit(l), self._hit(r))
+                           for l, r in pairs],
+                    elapsed_seconds=elapsed,
+                    expanded_views=ctx.expanded_views,
+                    plan_text=plan.explain(),
+                    trace=trace,
+                    degradation=ctx.degradation,
+                )
+            plan = self._prepared_plan(prepared, ctx, trace=trace,
+                                       limit=limit)
+            keys = array("q")
+            ordered = True
+            for batch in iter_batches(plan, ctx):
+                keys.extend(batch.keys)
+                ordered = ordered and batch.ordered
         if not ordered:
             # an ordered stream is strictly increasing across batches;
             # an unordered one is distinct but in pipeline order
@@ -703,7 +731,6 @@ class QueryProcessor:
 
         def stream():
             scope = trace.activate() if trace is not None else nullcontext()
-            sink_token = install_resilience_sink(_ResilienceObserver(ctx))
             started = time.perf_counter()
             rows = 0
             try:
@@ -712,7 +739,6 @@ class QueryProcessor:
                         rows += len(batch)
                         yield batch
             finally:
-                uninstall_resilience_sink(sink_token)
                 self._record_execution(
                     prepared.text, time.perf_counter() - started,
                     rows=rows, trace=trace, plan_text=plan.explain(),
@@ -767,7 +793,6 @@ class QueryProcessor:
                 "query answered partially",
                 query=query_text,
                 sources_skipped=list(degradation.sources_skipped),
-                retries_spent=degradation.retries_spent,
             )
         if trace is not None:
             for operator, agg in trace.aggregates().items():
@@ -777,10 +802,7 @@ class QueryProcessor:
                               int(agg["rows"]))
                 obs.observe(f"query.op.{operator}.seconds", agg["seconds"])
             for name, value in trace.counters.items():
-                # resilience.* counters are already recorded globally at
-                # the source guard; re-folding them would double count
-                if not name.startswith("resilience."):
-                    obs.increment(f"query.{name}", value)
+                obs.increment(f"query.{name}", value)
         if not streamed:
             obs.record_slow_query(query_text, elapsed, trace=trace,
                                   plan_text=plan_text, processor=self,

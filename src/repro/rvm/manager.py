@@ -74,16 +74,11 @@ class ResourceViewManager:
         rvm.poll_and_process()           # periodic polling for the rest
     """
 
-    def __init__(self, *, infinite_group_window: int = 256,
-                 resilience=None):
+    def __init__(self, *, infinite_group_window: int = 256):
         self.proxy = DataSourceProxy()
         self.catalog = ResourceViewCatalog()
         self.indexes = IndexSet(infinite_group_window=infinite_group_window)
         self.bus = PushBus()
-        #: optional :class:`~repro.resilience.ResilienceHub`; when set,
-        #: every registered plugin is wrapped in a source guard (retry,
-        #: backoff, circuit breaker) at the proxy boundary.
-        self.resilience = resilience
         self.sync = SynchronizationManager(
             self.proxy, self.catalog, self.indexes, bus=self.bus,
             infinite_group_window=infinite_group_window,
@@ -139,8 +134,6 @@ class ResourceViewManager:
     # -- setup ------------------------------------------------------------------
 
     def register_plugin(self, plugin: DataSourcePlugin) -> None:
-        if self.resilience is not None:
-            plugin = self.resilience.wrap(plugin)
         self.proxy.register(plugin)
 
     def attach_durability(self, sink) -> None:
@@ -176,14 +169,6 @@ class ResourceViewManager:
                 source.errors.append(str(error))
                 report.sources[authority] = source
         return report
-
-    # -- resilience ---------------------------------------------------------------
-
-    def health_snapshot(self) -> dict[str, dict[str, object]]:
-        """Per-source guard state (empty without a resilience hub)."""
-        if self.resilience is None:
-            return {}
-        return self.resilience.health_snapshot()
 
     def sync_source(self, authority: str) -> SourceReport:
         return self.sync.scan_source(authority)

@@ -69,22 +69,6 @@ class DataSourceProxy:
             raise DataSourceError(f"no plugin for authority {authority!r}")
         del self._plugins[authority]
 
-    def swap(self, authority: str, plugin: DataSourcePlugin) -> None:
-        """Replace a registered plugin in place (same authority).
-
-        The fault-injection layer uses this to wrap an already
-        registered source; the authority must stay the same so catalog
-        entries and guards keep their identity.
-        """
-        if authority not in self._plugins:
-            raise DataSourceError(f"no plugin for authority {authority!r}")
-        if plugin.authority != authority:
-            raise DataSourceError(
-                f"cannot swap authority {authority!r} for a plugin "
-                f"claiming {plugin.authority!r}"
-            )
-        self._plugins[authority] = plugin
-
     def plugin_for(self, authority: str) -> DataSourcePlugin:
         try:
             return self._plugins[authority]

@@ -489,7 +489,6 @@ class DataspaceService:
     def stats(self, *, include_global: bool = True) -> dict[str, object]:
         """Counters, cache sizes and latency snapshots in one dict.
 
-        Per-source health is ``resilience.source.<authority>.<key>``.
         With ``include_global`` the process-global telemetry snapshot is
         folded in, never overriding a service-local key.
         """
@@ -498,15 +497,6 @@ class DataspaceService:
         report["cache.plan.size"] = len(self.plan_cache)
         report["queue.depth"] = self.admission.depth
         report["sessions.open"] = self.session_count
-        health = self.dataspace.rvm.health_snapshot()
-        if health:
-            down = [a for a, row in health.items()
-                    if row["state"] == "open"]
-            report["resilience.sources_down"] = ",".join(down) or "-"
-            for authority, row in health.items():
-                for key in ("state", "retries", "failures",
-                            "short_circuits", "times_opened"):
-                    report[f"resilience.source.{authority}.{key}"] = row[key]
         if include_global:
             for name, value in obs.global_metrics().snapshot().items():
                 report.setdefault(name, value)

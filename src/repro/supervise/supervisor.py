@@ -31,10 +31,9 @@ The failure contract, in order of the failover timeline:
   ``retry_after`` when the breaker knows it) instead of queueing behind
   an absent worker;
 * **bounded restart** — restarts back off exponentially (seeded
-  jitter), and a per-shard :class:`~repro.resilience.CircuitBreaker`
-  (the same class guarding flaky sources) opens after repeated crash
-  loops, degrading the shard to fail-fast until the cool-down admits a
-  half-open restart probe.
+  jitter), and a per-shard :class:`~repro.supervise.policy.CircuitBreaker`
+  opens after repeated crash loops, degrading the shard to fail-fast
+  until the cool-down admits a half-open restart probe.
 
 Locking discipline: each shard has a *state* lock (pending table,
 epoch, lifecycle) and a *write* lock (frame writes to the worker's
@@ -92,12 +91,11 @@ from ..core.errors import (
     ShardUnavailable,
     WireError,
 )
-from ..resilience.policy import BreakerState, CircuitBreaker, RetryPolicy
+from .policy import BreakerState, CircuitBreaker, RetryPolicy
 from .router import HashRing
 from .wire import read_frame, write_frame
 
 #: numeric breaker-state encoding for the ``supervise.breaker.*`` gauges
-#: (same codes as the ``resilience.breaker_state`` gauge)
 _BREAKER_CODES = {
     BreakerState.CLOSED: 0,
     BreakerState.OPEN: 1,
@@ -133,8 +131,8 @@ class SupervisorConfig:
     #: restart backoff: delay before restart n is
     #: ``base * multiplier**(n-1)`` capped at max, plus seeded jitter
     restart_backoff: RetryPolicy = field(default_factory=lambda: RetryPolicy(
-        max_attempts=1, backoff_base=0.05, backoff_multiplier=2.0,
-        backoff_max=2.0, jitter=0.5,
+        backoff_base=0.05, backoff_multiplier=2.0, backoff_max=2.0,
+        jitter=0.5,
     ))
     #: consecutive crashes (without an intervening ready) that open the
     #: shard's restart breaker

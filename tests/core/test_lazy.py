@@ -44,8 +44,8 @@ class TestLazyValue:
 
 
 class TestFailedForcing:
-    """A raising provider must not poison the lazy (satellite of the
-    resilience PR): failures are recorded, re-forcing is bounded."""
+    """A raising provider must not poison the lazy: failures are
+    recorded, re-forcing is bounded."""
 
     def test_exception_propagates_and_marks_failed(self):
         lazy = LazyValue(self._fail_times(1))

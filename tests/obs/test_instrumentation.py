@@ -1,30 +1,23 @@
 """End-to-end telemetry: every subsystem feeds the global registry.
 
-One tiny dataspace with resilience, synced and queried through a serve
-session, must light up all five namespaces; the slow-query log must
-capture slow executions (span tree included) and ignore fast ones; the
-service ``stats()`` must carry both the legacy flat keys and their
+One tiny dataspace, synced and queried through a serve session, must
+light up all four namespaces; the slow-query log must capture slow
+executions (span tree included) and ignore fast ones; the service
+``stats()`` must carry both the legacy flat keys and their
 dotted-convention aliases.
 """
 
 from __future__ import annotations
 
 from repro import obs
-from repro.dataset import TINY_PROFILE, PersonalDataspaceGenerator
+from repro.dataset import TINY_PROFILE
 from repro.facade import Dataspace
 from repro.imapsim.latency import no_latency
-from repro.resilience import FaultPlan, ResilienceConfig, RetryPolicy
 
 
 def build_dataspace() -> Dataspace:
-    generated = PersonalDataspaceGenerator(
-        TINY_PROFILE, seed=7, imap_latency=no_latency()
-    ).generate()
-    config = ResilienceConfig(
-        retry=RetryPolicy(max_attempts=2)
-    ).with_fast_backoff()
-    return Dataspace(vfs=generated.vfs, imap=generated.imap,
-                     feeds=generated.feeds, resilience=config)
+    return Dataspace.generate(profile=TINY_PROFILE, seed=7,
+                              imap_latency=no_latency())
 
 
 class TestNamespaceCoverage:
@@ -37,16 +30,13 @@ class TestNamespaceCoverage:
         snapshot = obs.global_metrics().snapshot()
         namespaces = {name.split(".", 1)[0].split("{", 1)[0]
                       for name in snapshot}
-        assert {"query", "sync", "index",
-                "resilience", "service"} <= namespaces
+        assert {"query", "sync", "index", "service"} <= namespaces
         # a few load-bearing series, by name
         assert snapshot["sync.sources_scanned"] == 3
         assert snapshot["sync.views_synced"] > 0
         assert snapshot["query.executions"] >= 2
         assert snapshot["service.queries.served"] >= 2
         assert snapshot['index.entries{index="catalog"}'] > 0
-        assert snapshot['resilience.breaker_state{source="imap"}'] == 0
-        assert snapshot['resilience.calls{source="fs"}'] > 0
 
     def test_sync_emits_structured_events(self):
         dataspace = build_dataspace()
@@ -184,14 +174,6 @@ class TestServiceStatsAliases:
         assert stats["query.op.ContentSearch.calls"] >= 1
         assert not any(name.startswith("trace.") for name in stats)
 
-    def test_resilience_keys_alias_to_source_namespace(self):
-        dataspace = build_dataspace()
-        with dataspace.serve(workers=1) as service:
-            service.execute("/*")
-            stats = service.stats()
-        assert stats["resilience.source.imap.state"] == "closed"
-        assert "resilience.imap.state" not in stats
-
     def test_global_snapshot_folds_into_stats(self):
         dataspace = build_dataspace()
         with dataspace.serve(workers=1) as service:
@@ -200,24 +182,3 @@ class TestServiceStatsAliases:
             local_only = service.stats(include_global=False)
         assert "sync.views_synced" in stats
         assert "sync.views_synced" not in local_only
-
-    def test_breaker_transitions_count_and_announce(self):
-        generated = PersonalDataspaceGenerator(
-            TINY_PROFILE, seed=7, imap_latency=no_latency()
-        ).generate()
-        config = ResilienceConfig(
-            retry=RetryPolicy(max_attempts=1),
-            breaker_failure_threshold=2,
-        ).with_fast_backoff()
-        dataspace = Dataspace(vfs=generated.vfs, imap=generated.imap,
-                              feeds=generated.feeds, resilience=config)
-        dataspace.sync()
-        dataspace.inject_faults("imap", FaultPlan(seed=1).outage())
-        for _ in range(3):
-            dataspace.query("/*")
-        snapshot = obs.global_metrics().snapshot()
-        assert snapshot['resilience.breaker_opened{source="imap"}'] == 1
-        assert snapshot['resilience.breaker_state{source="imap"}'] == 1
-        assert snapshot['resilience.failures{source="imap"}'] >= 2
-        events = obs.global_events().snapshot(subsystem="resilience")
-        assert any(e.name == "resilience.breaker_opened" for e in events)

@@ -11,7 +11,8 @@ from repro.obs.promcheck import parse_samples, validate
 def build_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
     registry.increment("sync.views_synced", 12)
-    registry.increment("resilience.retries", 2, labels={"source": "imap"})
+    registry.increment("service.queries.served", 2,
+                       labels={"tenant": "alice"})
     registry.set_gauge("index.entries", 42, labels={"index": "name"})
     for value in (1.0, 2.0, 3.0, 4.0):
         registry.observe("query.latency_seconds", value)
@@ -27,8 +28,8 @@ repro_query_latency_seconds{quantile="0.95"} 4
 repro_query_latency_seconds{quantile="0.99"} 4
 repro_query_latency_seconds_count 4
 repro_query_latency_seconds_sum 10
-# TYPE repro_resilience_retries counter
-repro_resilience_retries{source="imap"} 2
+# TYPE repro_service_queries_served counter
+repro_service_queries_served{tenant="alice"} 2
 # TYPE repro_sync_views_synced counter
 repro_sync_views_synced 12
 """
@@ -46,8 +47,8 @@ class TestRender:
         by_key = {(name, tuple(sorted(labels.items()))): value
                   for name, labels, value in samples}
         assert by_key[("repro_sync_views_synced", ())] == 12
-        assert by_key[("repro_resilience_retries",
-                       (("source", "imap"),))] == 2
+        assert by_key[("repro_service_queries_served",
+                       (("tenant", "alice"),))] == 2
         assert by_key[("repro_query_latency_seconds_sum", ())] == 10.0
 
     def test_empty_registry_renders_empty(self):

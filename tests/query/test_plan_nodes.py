@@ -4,7 +4,9 @@ from datetime import datetime
 
 import pytest
 
-from repro.core.errors import QueryExecutionError
+from repro.core.errors import DataSourceError, QueryExecutionError
+from repro.core.identity import ViewId
+from repro.core.resource_view import ResourceView
 from repro.query.ast import Axis, CompareOp, QualifiedRef
 from repro.query.engine import materialize_set as run
 from repro.query.executor import ExecutionContext
@@ -182,6 +184,22 @@ class TestJoinPlan:
         value = ctx.component_value("fs:///docs/a.txt",
                                     QualifiedRef("A", "content"))
         assert value == "alpha beta"
+
+    def test_unreachable_content_join_key_degrades(self, ctx, monkeypatch):
+        def offline():
+            raise DataSourceError("fs is offline")
+
+        uri = "fs:///docs/offline.txt"
+        monkeypatch.setitem(ctx.rvm.sync.live_views, uri, ResourceView(
+            name="offline.txt", content=offline, view_id=ViewId.parse(uri),
+        ))
+        fresh = ExecutionContext(ctx.rvm, ctx.functions)
+        value = fresh.component_value(uri, QualifiedRef("A", "content"))
+        assert value is None
+        assert fresh.degradation.views_unavailable == 1
+        incident, = fresh.degradation.incidents
+        assert (incident.authority, incident.operation) == (
+            "fs", "component_value")
 
     def test_class_component_join_key(self, ctx):
         value = ctx.component_value("fs:///docs/a.txt",

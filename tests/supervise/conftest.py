@@ -11,7 +11,8 @@ import os
 
 from repro import obs
 
-#: The CI chaos matrix seed (see tests/resilience/conftest.py).
+#: The CI chaos matrix seed (the ``supervise`` job's matrix in
+#: .github/workflows/ci.yml).
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
 #: The query mix every integration test drives (all answerable by the

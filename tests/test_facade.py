@@ -35,11 +35,12 @@ class TestConstruction:
         assert dataspace.view_count == 2  # INBOX + message
 
     def test_generate_passthrough_kwargs(self):
+        reference = datetime(2006, 9, 12)
         dataspace = Dataspace.generate(
-            scale=0.001, imap_latency=no_latency(), resilience=True,
+            scale=0.001, imap_latency=no_latency(),
+            reference_datetime=reference,
         )
-        assert dataspace.resilience is not None
-        assert dataspace.rvm.resilience is dataspace.resilience
+        assert dataspace.processor.functions.reference == reference
 
     def test_demo_reproducible(self):
         a = Dataspace.demo(seed=9)
