@@ -37,7 +37,7 @@ from repro.facade import Dataspace
 from repro.imapsim.latency import no_latency
 
 #: The first query a waking process answers (content search touches the
-#: fulltext index, the catalog and the ranking path).
+#: fulltext index, the URI dictionary and the catalog).
 FIRST_QUERY = '"database"'
 
 

@@ -1,9 +1,6 @@
-"""Benchmarks for the infrastructure extensions: persistence snapshots
-and ranked search."""
+"""Benchmarks for the infrastructure extensions: the persistence
+snapshots that checkpoints write and recovery loads."""
 
-import pytest
-
-from repro.query.ranking import ranked_search
 from repro.rvm import ResourceViewManager
 from repro.rvm.persistence import load_state, save_state
 
@@ -40,18 +37,3 @@ class TestPersistence:
         assert on_disk > 0
         assert 0.05 < on_disk / accounted < 20
 
-
-class TestRankedSearch:
-    def test_search_speed(self, harness, benchmark):
-        hits = benchmark(ranked_search, harness.dataspace.rvm,
-                         "database indexing time", limit=10)
-        assert hits
-
-    def test_filtered_search_speed(self, harness, benchmark):
-        within = set(harness.dataspace.query("//papers//*.tex").uris())
-
-        def run():
-            return ranked_search(harness.dataspace.rvm, "database",
-                                 limit=10, within=within)
-
-        benchmark(run)

@@ -12,14 +12,14 @@ The package mirrors the iMeMex PDSMS architecture:
   :mod:`repro.imapsim`, :mod:`repro.rss`, :mod:`repro.fulltext`,
   :mod:`repro.tupleindex`, :mod:`repro.pushops`.
 * :mod:`repro.rvm` — the Resource View Manager (plugins, converters,
-  catalog, replicas & indexes, synchronization, snapshots).
+  catalog, replicas & indexes, synchronization, the checkpoint format).
 * :mod:`repro.query` — the iQL query language and its processor.
 * :mod:`repro.dataset` — the synthetic personal-dataspace generator used
   by the evaluation harness.
 * :mod:`repro.bench` — helpers that regenerate the paper's tables and
   figures.
-* beyond the paper — :mod:`repro.cli` (``python -m repro``) and
-  ranking inside :mod:`repro.query`; the serving stack
+* beyond the paper — :mod:`repro.cli` (``python -m repro``); the
+  serving stack
   (:mod:`repro.service`, :mod:`repro.durability`,
   :mod:`repro.supervise`, :mod:`repro.obs`,
   :mod:`repro.trace`) is listed in DESIGN.md.

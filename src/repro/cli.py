@@ -11,15 +11,12 @@ Usage (module form)::
     python -m repro query  '"database tuning"' --explain
     python -m repro query  '"database tuning"' --explain --analyze
     python -m repro query  '"database tuning"' --analyze --shards 2
-    python -m repro search 'indexing time' --limit 5
     python -m repro tables --scale 0.05
     python -m repro serve  --clients 1,4,16 --requests 25
     python -m repro serve  --shards 3 --kill-shard 0
     python -m repro checkpoint /tmp/space --scale 0.02
     python -m repro recover /tmp/space --verify
     python -m repro fsck /tmp/space
-    python -m repro snapshot save /tmp/snap --scale 0.02
-    python -m repro snapshot load /tmp/snap
 
 Dataspaces are generated in memory, deterministically from
 ``--scale``/``--seed``, so every invocation is reproducible.
@@ -330,17 +327,6 @@ def _print_materialized(dataspace: Dataspace,
     return 0
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
-    dataspace = _build(args)
-    hits = dataspace.search(args.text, limit=args.limit)
-    for hit in hits:
-        label = hit.name or "(unnamed)"
-        print(f"{hit.score:8.3f}  {label}  [{hit.uri}]")
-    if not hits:
-        print("no matches")
-    return 0
-
-
 def _cmd_tables(args: argparse.Namespace) -> int:
     harness = EvaluationHarness(scale=args.scale, seed=args.seed)
     harness.ensure_synced()
@@ -579,23 +565,6 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_snapshot(args: argparse.Namespace) -> int:
-    """Save or load a plain (WAL-free) snapshot of the indexed state."""
-    if args.action == "save":
-        dataspace = _build(args)
-        manifest = dataspace.save(args.directory)
-        print(f"saved {manifest['counts']['catalog']} views to "
-              f"{args.directory} "
-              f"(snapshot format v{manifest['format_version']})")
-        return 0
-    dataspace = Dataspace()
-    manifest = dataspace.load(args.directory)
-    sizes = dataspace.index_sizes()
-    print(f"loaded {manifest['counts']['catalog']} views from "
-          f"{args.directory} ({sizes['total']} index bytes)")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -649,12 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "telemetry (--shards only)")
     _add_dataset_options(query)
     query.set_defaults(handler=_cmd_query)
-
-    search = commands.add_parser("search", help="ranked free-text search")
-    search.add_argument("text", help="search text")
-    search.add_argument("--limit", type=int, default=10)
-    _add_dataset_options(search)
-    search.set_defaults(handler=_cmd_search)
 
     tables = commands.add_parser(
         "tables", help="regenerate the paper's evaluation tables"
@@ -735,15 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
     fsck.add_argument("--verify-count", type=int, default=40,
                       help="generated queries to check (default 40)")
     fsck.set_defaults(handler=_cmd_fsck)
-
-    snapshot = commands.add_parser(
-        "snapshot", help="save/load a plain snapshot of the indexed state "
-                         "(no WAL; see `checkpoint` for durability)"
-    )
-    snapshot.add_argument("action", choices=("save", "load"))
-    snapshot.add_argument("directory", help="snapshot directory")
-    _add_dataset_options(snapshot)
-    snapshot.set_defaults(handler=_cmd_snapshot)
 
     return parser
 

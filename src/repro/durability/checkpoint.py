@@ -1,9 +1,10 @@
 """Checkpoints: snapshot the RVM and truncate the applied WAL prefix.
 
 A checkpoint is a :func:`repro.rvm.persistence.save_state` snapshot
-(the same crash-safe directory format ``Dataspace.save`` writes) taken
-at a known WAL position, plus a tiny atomically-updated pointer file
-naming the checkpoint recovery should start from.
+(a crash-safe directory of JSON-lines files, the one persisted form of
+the indexed state) taken at a known WAL position, plus a tiny
+atomically-updated pointer file naming the checkpoint recovery should
+start from.
 
 The protocol, in crash-safe order:
 

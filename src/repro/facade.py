@@ -162,31 +162,6 @@ class Dataspace:
 
     # -- persistence --------------------------------------------------------------------
 
-    def save(self, path) -> dict:
-        """Snapshot the indexed state to a directory (crash-safe).
-
-        Writes the catalog and all index/replica structures with
-        :func:`repro.rvm.persistence.save_state`; the snapshot appears
-        atomically (staged beside the target, then renamed over it).
-        Returns the snapshot manifest.
-        """
-        from .rvm.persistence import save_state
-        if not self._synced:
-            self.sync()
-        return save_state(self.rvm, path)
-
-    def load(self, path, *, merge: bool = False) -> dict:
-        """Restore a :meth:`save` snapshot into this dataspace.
-
-        Refuses to load into a non-empty RVM unless ``merge=True``
-        (raises :class:`~repro.core.errors.StoreError`). Queries work
-        immediately on the restored structures; no re-sync happens.
-        """
-        from .rvm.persistence import load_state
-        manifest = load_state(self.rvm, path, merge=merge)
-        self._synced = True
-        return manifest
-
     def checkpoint(self):
         """Checkpoint the durable dataspace: snapshot + truncate the WAL.
 
@@ -253,20 +228,6 @@ class Dataspace:
         if not self._synced:
             self.sync()
         return self.processor.explain_analyze(iql)
-
-    def search(self, text: str, *, limit: int = 10, iql: str | None = None):
-        """Ranked free-text search over name and content components.
-
-        With ``iql`` given, the query filters (structure) and the text
-        ranks (relevance) — the paper's planned search/ranking blend.
-        """
-        from .query.ranking import ranked_search
-        if not self._synced:
-            self.sync()
-        within = None
-        if iql is not None:
-            within = set(self.processor.execute(iql).uris())
-        return ranked_search(self.rvm, text, limit=limit, within=within)
 
     # -- serving ----------------------------------------------------------------------
 

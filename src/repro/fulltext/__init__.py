@@ -8,8 +8,8 @@ This package provides the same functional contract:
 * :mod:`postings` — positional postings lists;
 * :mod:`index` — the inverted index with add/remove/size accounting
   (size accounting feeds Table 3 of the evaluation);
-* :mod:`query` — term, phrase, wildcard and boolean queries;
-* :mod:`scoring` — TF-IDF ranking.
+* :mod:`query` — term, phrase and wildcard queries, the leaves iQL
+  keyword predicates compile to.
 
 The content index is *not* a replica: like the paper's, it cannot return
 the original content, only the document keys that match.
@@ -17,22 +17,10 @@ the original content, only the document keys that match.
 
 from .analyzer import Analyzer, Token, tokenize
 from .index import InvertedIndex
-from .query import (
-    And,
-    MatchAll,
-    Not,
-    Or,
-    Phrase,
-    Query,
-    Term,
-    Wildcard,
-    parse_query,
-)
-from .scoring import score_tfidf
+from .query import Phrase, Query, Term, Wildcard
 
 __all__ = [
     "Analyzer", "Token", "tokenize",
     "InvertedIndex",
-    "And", "MatchAll", "Not", "Or", "Phrase", "Query", "Term", "Wildcard",
-    "parse_query", "score_tfidf",
+    "Phrase", "Query", "Term", "Wildcard",
 ]

@@ -5,9 +5,9 @@ per-document occurrence positions for phrase matching. Documents are
 identified by the process-wide *catalog ids* of the URI dictionary
 (since the keyset refactor, DESIGN.md §4j — there is no per-index doc
 id space any more), and the membership set is a
-:class:`~repro.rvm.keyset.KeySet`: boolean queries combine postings
-with word-parallel bitmap algebra, and the query engine receives the
-id set as-is, with no string conversion.
+:class:`~repro.rvm.keyset.KeySet`: phrase and wildcard queries
+combine postings with word-parallel bitmap algebra, and the query
+engine receives the id set as-is, with no string conversion.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ class Posting:
 
     doc: int
     positions: list[int] = field(default_factory=list)
-
-    @property
-    def term_frequency(self) -> int:
-        return len(self.positions)
 
     def size_bytes(self) -> int:
         """Approximate serialized size: 4 bytes per position.
@@ -88,7 +84,7 @@ class PostingsList:
         """The live :class:`~repro.rvm.keyset.KeySet` of doc ids.
 
         Shared, not copied — callers must treat it as read-only (the
-        boolean query operators do: every keyset op allocates a fresh
+        full-text query leaves do: every keyset op allocates a fresh
         result).
         """
         return self._docs

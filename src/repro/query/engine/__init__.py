@@ -19,7 +19,6 @@ from .compile import compile_plan
 from .config import DEFAULT_ENGINE, EngineConfig
 from .operators import Operator
 from .reference import reference_execute
-from .topk import TopKHeap
 
 __all__ = [
     "Batch",
@@ -27,7 +26,6 @@ __all__ = [
     "DEFAULT_ENGINE",
     "EngineConfig",
     "Operator",
-    "TopKHeap",
     "chunked",
     "compile_plan",
     "iter_batches",

@@ -17,9 +17,6 @@ private dictionary instead.
 on: keys are strictly increasing *within the batch and across
 consecutive batches of the same stream*. Unordered streams still never
 repeat a key — every operator's output is a set, delivered in chunks.
-
-A ``scores`` column optionally rides along (top-k ranking flows scores
-alongside keys instead of re-looking them up).
 """
 
 from __future__ import annotations
@@ -36,17 +33,13 @@ DEFAULT_BATCH_SIZE = 256
 class Batch:
     """One chunk of an operator's output stream."""
 
-    __slots__ = ("keys", "scores", "ordered", "view", "_uris")
+    __slots__ = ("keys", "ordered", "view", "_uris")
 
-    def __init__(self, keys: array, scores=None, ordered: bool = False,
-                 *, view):
+    def __init__(self, keys: array, ordered: bool = False, *, view):
         self.keys = keys
-        self.scores = scores
         self.ordered = ordered
         self.view = view
         self._uris: tuple[str, ...] | None = None
-        if scores is not None and len(scores) != len(keys):
-            raise ValueError("score column length must match keys")
 
     @property
     def uris(self) -> tuple[str, ...]:
@@ -76,12 +69,7 @@ class Batch:
         """The first ``count`` rows (for LIMIT's final partial batch)."""
         if count >= len(self.keys):
             return self
-        return Batch(
-            self.keys[:count],
-            scores=self.scores[:count] if self.scores is not None else None,
-            ordered=self.ordered,
-            view=self.view,
-        )
+        return Batch(self.keys[:count], ordered=self.ordered, view=self.view)
 
 
 def chunked(keys: array, size: int, *, ordered: bool = False,

@@ -464,7 +464,7 @@ class Sort(Operator):
 
 
 # ---------------------------------------------------------------------------
-# Limit / top-k
+# Limit
 # ---------------------------------------------------------------------------
 
 class LimitOp(Operator):
@@ -499,56 +499,6 @@ class LimitOp(Operator):
             return batch
         self._remaining -= len(batch)
         return batch
-
-    def close(self) -> None:
-        self.child.close()
-
-
-class TopKOperator(Operator):
-    """Bounded-heap top-k over a score-carrying batch stream.
-
-    Emits the k best rows best-first (score desc, key asc tie-break —
-    key order is URI order, so ties still break URI-ascending), scores
-    attached. Rows without a score column rank at 0.0.
-    """
-
-    ordered = False  # score order, not key order
-
-    def __init__(self, child: Operator, k: int):
-        self.child = child
-        self.k = k
-        self._chunks: Iterator[Batch] | None = None
-        self._ctx = None
-
-    def open(self, ctx) -> None:
-        self._ctx = ctx
-        self.child.open(ctx)
-        self._chunks = None
-
-    def next_batch(self) -> Batch | None:
-        from .topk import TopKHeap
-        if self._chunks is None:
-            heap = TopKHeap(self.k)
-            try:
-                while True:
-                    batch = self.child.next_batch()
-                    if batch is None:
-                        break
-                    scores = batch.scores or (0.0,) * len(batch)
-                    for key, score in zip(batch.keys, scores):
-                        heap.push(key, score)
-            finally:
-                self.child.close()
-            best = heap.best_first()
-            view = self._ctx.dict_view
-            size = self._ctx.engine.batch_size
-            self._chunks = iter([
-                Batch(array("q", [k for k, _ in best[i:i + size]]),
-                      scores=tuple(s for _, s in best[i:i + size]),
-                      view=view)
-                for i in range(0, len(best), size)
-            ])
-        return next(self._chunks, None)
 
     def close(self) -> None:
         self.child.close()

@@ -14,9 +14,10 @@ they re-resolve through the plugins on demand, exactly like after a
 restart of the original system.
 
 The format is deliberately plain: one ``manifest.json`` plus one
-``.jsonl`` file per structure, with ISO-tagged datetimes. It is a
-snapshot format, not a WAL — :mod:`repro.durability` layers the WAL,
-checkpoints and crash recovery on top of it.
+``.jsonl`` file per structure, with ISO-tagged datetimes. It is the
+checkpoint's snapshot format, not a WAL — :mod:`repro.durability`
+layers the WAL, checkpoints and crash recovery on top of it, and is
+the one caller of both functions.
 
 Catalog ids are **derived state** and never appear in a snapshot: every
 structure serializes URIs, and the load path re-interns them through
@@ -248,14 +249,12 @@ def rvm_is_empty(rvm: ResourceViewManager) -> bool:
             and len(indexes.group_replica) == 0)
 
 
-def load_state(rvm: ResourceViewManager, directory: str | Path, *,
-               merge: bool = False) -> dict:
+def load_state(rvm: ResourceViewManager, directory: str | Path) -> dict:
     """Restore a snapshot written by :func:`save_state` into ``rvm``.
 
-    The RVM must be freshly constructed: loading into a used RVM keeps
-    its existing contents, silently merging the two states, which is
-    almost never intended — pass ``merge=True`` to do it anyway.
-    Returns the manifest.
+    The RVM must be freshly constructed: loading into a used RVM would
+    merge the two states, so a non-empty one is refused. Returns the
+    manifest.
     """
     base = Path(directory)
     manifest_path = base / "manifest.json"
@@ -266,11 +265,11 @@ def load_state(rvm: ResourceViewManager, directory: str | Path, *,
         raise StoreError(
             f"unsupported snapshot version {manifest.get('format_version')}"
         )
-    if not merge and not rvm_is_empty(rvm):
+    if not rvm_is_empty(rvm):
         raise StoreError(
             f"refusing to load snapshot {base} into a non-empty RVM "
             f"({len(rvm.catalog)} catalog entries): loading would merge "
-            f"the two states; pass merge=True if that is intended"
+            f"the two states"
         )
 
     for row in _read_jsonl(base / "catalog.jsonl"):
@@ -299,12 +298,9 @@ def load_state(rvm: ResourceViewManager, directory: str | Path, *,
     for row in _read_jsonl(base / "content.jsonl"):
         # one bulk build per term (defensive: a uri with no content_docs
         # row is skipped)
-        positions = {docs[uri]: doc_positions
-                     for uri, doc_positions in row["postings"] if uri in docs}
-        merged = terms.get(row["term"])  # merge=True: keep the other docs
-        if merged is not None:
-            positions.update((p.doc, p.positions) for p in merged)
-        terms[row["term"]] = PostingsList(positions)
+        terms[row["term"]] = PostingsList(
+            {docs[uri]: doc_positions
+             for uri, doc_positions in row["postings"] if uri in docs})
 
     for row in _read_jsonl(base / "tuples.jsonl"):
         values = {k: decode_value(v) for k, v in row["values"].items()}

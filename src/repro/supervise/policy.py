@@ -82,8 +82,6 @@ class CircuitBreaker:
     state: BreakerState = field(default=BreakerState.CLOSED, init=False)
     consecutive_failures: int = field(default=0, init=False)
     opened_at: float | None = field(default=None, init=False)
-    #: lifetime count of closed/half-open → open transitions
-    times_opened: int = field(default=0, init=False)
     _probes_in_flight: int = field(default=0, init=False)
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   init=False, repr=False)
@@ -148,5 +146,4 @@ class CircuitBreaker:
     def _trip(self) -> None:
         self.state = BreakerState.OPEN
         self.opened_at = self.clock()
-        self.times_opened += 1
         self._probes_in_flight = 0

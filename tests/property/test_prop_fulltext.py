@@ -4,16 +4,7 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
-from repro.fulltext import (
-    And,
-    InvertedIndex,
-    MatchAll,
-    Not,
-    Or,
-    Phrase,
-    Term,
-    Wildcard,
-)
+from repro.fulltext import InvertedIndex, Phrase, Term, Wildcard
 from repro.fulltext.analyzer import DEFAULT_ANALYZER
 
 _WORDS = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6)
@@ -59,17 +50,8 @@ class TestAlgebraicLaws:
     def test_phrase_subset_of_conjunction(self, texts, w1, w2):
         index = _build(texts)
         phrase = Phrase((w1, w2)).docs(index)
-        conjunction = And((Term(w1), Term(w2))).docs(index)
+        conjunction = Term(w1).docs(index) & Term(w2).docs(index)
         assert phrase <= conjunction
-
-    @given(_DOCS, _WORDS)
-    @settings(max_examples=100, deadline=None)
-    def test_not_is_complement(self, texts, word):
-        index = _build(texts)
-        matched = Term(word).docs(index)
-        complement = Not(Term(word)).docs(index)
-        assert matched | complement == set(index.all_doc_ids())
-        assert matched & complement == set()
 
     @given(_DOCS)
     @settings(max_examples=50, deadline=None)
@@ -82,7 +64,7 @@ class TestAlgebraicLaws:
 
 
 class TestKeysetFormMatchesSetForm:
-    """Every query node answers twice: ``docs`` (plain ``set[int]``,
+    """Every query leaf answers twice: ``docs`` (plain ``set[int]``,
     positions checked per document — the reference) and ``ids`` (keyset
     algebra over the postings' doc sets — what the engine consumes).
     They must be the same set, on corpora that had documents removed."""
@@ -107,18 +89,9 @@ class TestKeysetFormMatchesSetForm:
                   Phrase(()), Phrase((w1,)), Phrase((w1, w2)),
                   Phrase((w1, w2, w3)), Phrase((w1, w1)),
                   Wildcard(f"{w1[0]}*"), Wildcard("?b*"), Wildcard("zz*"),
-                  MatchAll()]
-        nodes = leaves + [
-            And((Phrase((w1, w2)), Term(w3))),
-            And(()),
-            Or((Phrase((w1,)), Wildcard(f"{w2[0]}?"))),
-            Or(()),
-            Not(Phrase((w1, w2))),
-            Not(Or((Term(w1), Term(w2)))),
-            And((Not(Term(w3)), MatchAll())),
-        ]
-        for node in nodes:
-            assert node.ids(index).to_list() == sorted(node.docs(index)), node
+                  Wildcard(f"{w2[0]}?")]
+        for leaf in leaves:
+            assert leaf.ids(index).to_list() == sorted(leaf.docs(index)), leaf
 
 
 class TestRemovalInvariants:

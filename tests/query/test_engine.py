@@ -3,8 +3,7 @@
 These drive operators directly with static batch sources (no dataspace,
 no compiler), pinning the protocol contracts end-to-end tests cannot
 see: laziness (who gets pulled when), early close propagation, ordered
-stream discipline across batch boundaries, and the engine-wide
-determinism rule (equal scores tie-break by URI ascending).
+stream discipline across batch boundaries.
 
 The operators run here in the representation production runs: the
 fixtures name rows by URI for readability, but :class:`StaticSource`
@@ -23,7 +22,6 @@ from repro.query.ast import Axis
 from repro.query.engine import (
     Batch,
     EngineConfig,
-    TopKHeap,
     chunked,
 )
 from repro.query.engine.operators import (
@@ -37,7 +35,6 @@ from repro.query.engine.operators import (
     Operator,
     SetScan,
     Sort,
-    TopKOperator,
     _Cursor,
     drain,
 )
@@ -48,19 +45,14 @@ from repro.rvm.uridict import UriDictionary, global_uri_dictionary
 class StaticSource(Operator):
     """Emits pre-built batches, counting pulls and closes.
 
-    Chunks are written as URIs (``(uri, score)`` pairs with
-    ``scores=True``). ``open`` interns them into the context's
-    dictionary — before the first pull captures the execution's view,
-    as a sync would — and each pull binds its chunk to sort keys."""
+    Chunks are written as URIs. ``open`` interns them into the
+    context's dictionary — before the first pull captures the
+    execution's view, as a sync would — and each pull binds its chunk
+    to sort keys."""
 
-    def __init__(self, *chunks, ordered: bool = False,
-                 scores: bool = False):
+    def __init__(self, *chunks, ordered: bool = False):
         self.ordered = ordered
-        self._chunks = [
-            ([u for u, _ in chunk], tuple(s for _, s in chunk)) if scores
-            else (list(chunk), None)
-            for chunk in chunks
-        ]
+        self._chunks = [list(chunk) for chunk in chunks]
         self.pulls = 0
         self.closes = 0
         self._index = 0
@@ -69,17 +61,17 @@ class StaticSource(Operator):
     def open(self, ctx) -> None:
         self._index = 0
         self._ctx = ctx
-        ctx.dictionary.intern_many(u for uris, _ in self._chunks
+        ctx.dictionary.intern_many(u for uris in self._chunks
                                    for u in uris)
 
     def next_batch(self):
         self.pulls += 1
         if self._index >= len(self._chunks):
             return None
-        uris, scores = self._chunks[self._index]
+        uris = self._chunks[self._index]
         self._index += 1
         view = self._ctx.dict_view
-        return Batch(array("q", map(view.key_for, uris)), scores=scores,
+        return Batch(array("q", map(view.key_for, uris)),
                      ordered=self.ordered, view=view)
 
     def close(self) -> None:
@@ -149,16 +141,10 @@ def _batch(uris, **kwargs) -> Batch:
 # -- Batch / chunked ---------------------------------------------------------
 
 class TestBatch:
-    def test_score_column_must_match_length(self):
-        with pytest.raises(ValueError):
-            _batch(("a", "b"), scores=(1.0,))
-
-    def test_truncated_keeps_scores_and_order_flag(self):
-        batch = _batch(("a", "b", "c"), scores=(3.0, 2.0, 1.0),
-                       ordered=True)
+    def test_truncated_keeps_order_flag(self):
+        batch = _batch(("a", "b", "c"), ordered=True)
         cut = batch.truncated(2)
         assert cut.uris == ("a", "b")
-        assert cut.scores == (3.0, 2.0)
         assert cut.ordered
 
     def test_truncated_beyond_length_is_identity(self):
@@ -196,24 +182,6 @@ class TestCursor:
         source.open(ctx)
         cursor = _Cursor(source)
         assert cursor.ensure() and cursor.value == ctx.key("b")
-
-
-# -- top-k -------------------------------------------------------------------
-
-class TestTopKHeap:
-    def test_keeps_the_k_best(self):
-        heap = TopKHeap(2)
-        for uri, score in [("a", 1.0), ("b", 5.0), ("c", 3.0)]:
-            heap.push(uri, score)
-        assert heap.best_first() == [("b", 5.0), ("c", 3.0)]
-
-    def test_equal_scores_tie_break_by_uri_ascending(self):
-        """The engine-wide determinism rule: at equal score the
-        lexically smaller URI wins a heap slot and ranks first."""
-        heap = TopKHeap(2)
-        for uri in ["c", "a", "b"]:
-            heap.push(uri, 1.0)
-        assert heap.best_first() == [("a", 1.0), ("b", 1.0)]
 
 
 # -- scans -------------------------------------------------------------------
@@ -301,7 +269,7 @@ class TestConcatUnion:
         assert second.pulls == 0
 
 
-# -- limit / sort / top-k ----------------------------------------------------
+# -- limit / sort ------------------------------------------------------------
 
 class TestLimitOp:
     def test_truncates_and_closes_the_child_early(self):
@@ -331,18 +299,6 @@ class TestSort:
         out = run(Sort(StaticSource(["c", "a"], ["b", "a"])),
                   FakeCtx(batch_size=2))
         assert out == ["a", "b", "c"]
-
-
-class TestTopKOperator:
-    def test_emits_best_first_with_scores(self):
-        source = StaticSource([("a", 1.0), ("b", 9.0)], [("c", 5.0)],
-                              scores=True)
-        top = TopKOperator(source, 2)
-        top.open(FakeCtx())
-        batch = top.next_batch()
-        assert batch.uris == ("b", "c")
-        assert batch.scores == (9.0, 5.0)
-        assert source.closes >= 1
 
 
 # -- expansion ---------------------------------------------------------------

@@ -108,16 +108,14 @@ class TestRoundTrip:
         assert isinstance(component.get("modified"), datetime)
         assert isinstance(component.get("size"), int)
 
-    def test_ranking_survives(self, populated_rvm, tmp_path):
-        from repro.query.ranking import ranked_search
+    def test_content_query_survives(self, populated_rvm, tmp_path):
         save_state(populated_rvm, tmp_path)
         restored = ResourceViewManager()
         load_state(restored, tmp_path)
-        original = [h.uri for h in ranked_search(populated_rvm, "database",
-                                                 limit=5)]
-        loaded = [h.uri for h in ranked_search(restored, "database",
-                                               limit=5)]
-        assert original == loaded
+        original = QueryProcessor(populated_rvm).execute('"database"')
+        loaded = QueryProcessor(restored).execute('"database"')
+        assert len(original) > 1
+        assert loaded.uris() == original.uris()
 
 
 def _content_state(content):
@@ -155,18 +153,6 @@ class TestContentPostingsRoundTrip:
             loaded.doc_of("fs:///dense/1")).positions == [0, 2, 4, 6]
         assert loaded.size_bytes() == content.size_bytes()
 
-    def test_merge_keeps_the_documents_outside_the_snapshot(self, tmp_path):
-        rvm = ResourceViewManager()
-        rvm.indexes.content_index.add("fs:///snap/a", "shared alpha shared")
-        save_state(rvm, tmp_path)
-        live = ResourceViewManager()
-        content = live.indexes.content_index
-        content.add("fs:///live/b", "beta shared")
-        load_state(live, tmp_path, merge=True)
-        assert {content.key_of(p.doc): p.positions
-                for p in content.postings("shared")} \
-            == {"fs:///snap/a": [0, 2], "fs:///live/b": [1]}
-
 
 class TestErrors:
     def test_load_missing_directory(self, tmp_path):
@@ -193,14 +179,6 @@ class TestErrors:
         save_state(populated_rvm, tmp_path)
         with pytest.raises(StoreError, match="non-empty"):
             load_state(populated_rvm, tmp_path)
-
-    def test_load_into_non_empty_rvm_with_merge(self, populated_rvm,
-                                                tmp_path):
-        save_state(populated_rvm, tmp_path)
-        before = len(populated_rvm.catalog)
-        load_state(populated_rvm, tmp_path, merge=True)
-        # re-adds replace: merging a snapshot of yourself is idempotent
-        assert len(populated_rvm.catalog) == before
 
 
 class TestCrashSafety:

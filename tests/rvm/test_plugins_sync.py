@@ -5,6 +5,7 @@ from datetime import datetime
 import pytest
 
 from repro.core.identity import ViewId
+from repro.fulltext import Term
 from repro.imapsim import Attachment, EmailMessage, ImapServer
 from repro.imapsim.latency import no_latency
 from repro.rss import FeedEntry, FeedServer
@@ -95,8 +96,7 @@ class TestFilesystemChanges:
         processed = rvm.process_notifications()
         assert processed > 0
         assert ViewId("fs", "/docs/fresh.txt") in rvm.catalog
-        from repro.fulltext.query import search
-        assert search(rvm.indexes.content_index, "totally") == {
+        assert Term("totally").keys(rvm.indexes.content_index) == {
             "fs:///docs/fresh.txt"
         }
 
@@ -106,11 +106,10 @@ class TestFilesystemChanges:
         rvm.subscribe_all()
         fs.write_file("/docs/note.txt", "replacement wording")
         rvm.process_notifications()
-        from repro.fulltext.query import search
-        assert search(rvm.indexes.content_index, "replacement") == {
+        assert Term("replacement").keys(rvm.indexes.content_index) == {
             "fs:///docs/note.txt"
         }
-        assert search(rvm.indexes.content_index, "plain") == set()
+        assert Term("plain").keys(rvm.indexes.content_index) == set()
 
     def test_deleted_file_unregistered(self, world):
         fs, imap, feeds, rvm = world
@@ -156,8 +155,7 @@ class TestImapChanges:
             date=datetime(2005, 3, 1), body="unique newmail words",
         ))
         rvm.process_notifications()
-        from repro.fulltext.query import search
-        assert search(rvm.indexes.content_index, "newmail")
+        assert Term("newmail").keys(rvm.indexes.content_index)
 
 
 class TestRssChanges:
@@ -176,8 +174,7 @@ class TestRssChanges:
                                          datetime(2006, 2, 2)))
         processed = rvm.poll_and_process()
         assert processed > 0
-        from repro.fulltext.query import search
-        assert search(rvm.indexes.content_index, "scoop")
+        assert Term("scoop").keys(rvm.indexes.content_index)
 
 
 class TestManagerAccessors:
@@ -212,8 +209,7 @@ class TestMovesAndSubtrees:
         rvm.process_notifications()
         assert ViewId("fs", "/docs/renamed.txt") in rvm.catalog
         assert ViewId("fs", "/docs/note.txt") not in rvm.catalog
-        from repro.fulltext.query import search
-        assert search(rvm.indexes.content_index, "plain") == {
+        assert Term("plain").keys(rvm.indexes.content_index) == {
             "fs:///docs/renamed.txt"
         }
 

@@ -62,7 +62,6 @@ class TestCircuitBreaker:
         breaker.record_failure()
         assert breaker.state is BreakerState.OPEN
         assert not breaker.allow()
-        assert breaker.times_opened == 1
 
     def test_success_resets_the_streak(self, fake_clock):
         breaker = self.make(fake_clock, threshold=3)
@@ -108,7 +107,6 @@ class TestCircuitBreaker:
         assert breaker.allow()
         breaker.record_failure()  # the probe failed
         assert breaker.state is BreakerState.OPEN
-        assert breaker.times_opened == 2
         fake_clock.advance(5.0)
         assert not breaker.allow()  # fresh cool-down, not the stale one
         fake_clock.advance(6.0)

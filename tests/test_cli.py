@@ -63,12 +63,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "<->" in out
 
-    def test_search(self, capsys, tiny_args):
-        assert main(["search", "database tuning", "--limit", "3",
-                     *tiny_args]) == 0
-        out = capsys.readouterr().out
-        assert "fs://" in out or "imap://" in out or "no matches" in out
-
     def test_tables(self, capsys, tiny_args):
         assert main(["tables", *tiny_args]) == 0
         out = capsys.readouterr().out
@@ -126,13 +120,6 @@ class TestDurabilityCommands:
         assert main(["checkpoint", space, *tiny_args]) == 0
         out = capsys.readouterr().out
         assert "recovered" in out
-
-    def test_snapshot_save_load(self, capsys, tmp_path, tiny_args):
-        snap = str(tmp_path / "snap")
-        assert main(["snapshot", "save", snap, *tiny_args]) == 0
-        assert "saved" in capsys.readouterr().out
-        assert main(["snapshot", "load", snap]) == 0
-        assert "loaded" in capsys.readouterr().out
 
 
 class TestFsck:

@@ -56,18 +56,6 @@ class TestQuerying:
         # no explicit sync()
         assert len(dataspace.query('"needle"')) == 1
 
-    def test_search_with_iql_filter(self):
-        fs = VirtualFileSystem()
-        fs.write_file("/a/in.txt", "target words here", parents=True)
-        fs.write_file("/b/out.txt", "target words there", parents=True)
-        dataspace = Dataspace(vfs=fs)
-        dataspace.sync()
-        everything = dataspace.search("target")
-        filtered = dataspace.search("target", iql="//a//*.txt")
-        assert len(filtered) == 1
-        assert filtered[0].uri == "fs:///a/in.txt"
-        assert len(everything) == 2
-
     def test_explain(self):
         dataspace = Dataspace(vfs=VirtualFileSystem())
         assert "ContentSearch" in dataspace.explain('"x"')
@@ -109,25 +97,6 @@ class TestPersistenceSurface:
         fs.write_file("/a/notes.txt", "database tuning notes", parents=True)
         fs.write_file("/a/more.txt", "durable dataspace", parents=True)
         return Dataspace(vfs=fs)
-
-    def test_save_load_round_trip(self, tmp_path):
-        dataspace = self._small()
-        manifest = dataspace.save(tmp_path / "snap")  # auto-syncs
-        assert manifest["counts"]["catalog"] == dataspace.view_count
-        restored = Dataspace()
-        restored.load(tmp_path / "snap")
-        assert restored.view_count == dataspace.view_count
-        # no sync needed: the restored indexes answer directly
-        assert set(restored.query('"database"').uris()) \
-            == set(dataspace.query('"database"').uris())
-
-    def test_load_refuses_non_empty(self, tmp_path):
-        from repro.core.errors import StoreError
-        dataspace = self._small()
-        dataspace.save(tmp_path / "snap")
-        with pytest.raises(StoreError):
-            dataspace.load(tmp_path / "snap")
-        dataspace.load(tmp_path / "snap", merge=True)
 
     def test_durable_dataspace_reopens(self, tmp_path):
         fs = VirtualFileSystem()

@@ -2,23 +2,16 @@
 
 import pytest
 
-from repro.core.errors import FullTextError, QuerySyntaxError
+from repro.core.errors import FullTextError
 from repro.fulltext import (
     Analyzer,
-    And,
     InvertedIndex,
-    MatchAll,
-    Not,
-    Or,
     Phrase,
     Term,
     Wildcard,
-    parse_query,
     tokenize,
 )
 from repro.fulltext.analyzer import DEFAULT_STOPWORDS
-from repro.fulltext.query import search
-from repro.fulltext.scoring import score_query, score_tfidf
 
 
 @pytest.fixture()
@@ -76,8 +69,8 @@ class TestIndexWrites:
 
     def test_readd_replaces(self, index):
         index.add("d1", "entirely new words")
-        assert search(index, "entirely") == {"d1"}
-        assert search(index, "art") == set()
+        assert Term("entirely").keys(index) == {"d1"}
+        assert Term("art").keys(index) == set()
 
     def test_empty_postings_pruned(self):
         idx = InvertedIndex()
@@ -115,10 +108,10 @@ class _PublishOrderSpy:
 
 
 class TestPostingsPublishOrder:
-    """One writer, many readers (DESIGN.md §4j): ``PostingsList``
-    iteration — what ``score_tfidf`` runs — walks the doc set and looks
-    each doc up in the posting map, so a ranked read during
-    ``refresh()`` must never find a doc without its posting."""
+    """One writer, many readers (DESIGN.md §4j): a phrase check and
+    ``PostingsList`` iteration walk the doc set and look each doc up in
+    the posting map, so a read during ``refresh()`` must never find a
+    doc without its posting."""
 
     def test_posting_is_complete_before_its_doc_is_visible(self,
                                                            monkeypatch):
@@ -151,87 +144,38 @@ class TestPostingsPublishOrder:
 
 class TestQueries:
     def test_term(self, index):
-        assert search(index, "database") == {"d1", "d2"}
+        assert Term("database").keys(index) == {"d1", "d2"}
 
     def test_term_case_insensitive(self, index):
         assert Term("DATABASE").docs(index) == Term("database").docs(index)
 
     def test_unknown_term_empty(self, index):
-        assert search(index, "xyzzy") == set()
+        assert Term("xyzzy").keys(index) == set()
 
     def test_phrase(self, index):
-        assert search(index, '"database tuning"') == {"d1"}
+        assert Phrase.of("database tuning").keys(index) == {"d1"}
 
     def test_phrase_requires_adjacency(self, index):
         # d3 has "tuning" and "indexing" but not adjacent in this order
-        assert search(index, '"tuning indexing"') == set()
-        assert search(index, '"tuning and indexing"') == {"d3"}
+        assert Phrase.of("tuning indexing").keys(index) == set()
+        assert Phrase.of("tuning and indexing").keys(index) == {"d3"}
 
     def test_phrase_subset_of_and(self, index):
         phrase = Phrase.of("database tuning").docs(index)
-        conjunction = And((Term("database"), Term("tuning"))).docs(index)
+        conjunction = Term("database").docs(index) & Term("tuning").docs(index)
         assert phrase <= conjunction
 
-    def test_and(self, index):
-        assert search(index, "database and tuning") == {"d1"}
-
-    def test_juxtaposition_is_and(self, index):
-        assert search(index, "database tuning") == {"d1"}
-
-    def test_or(self, index):
-        assert search(index, "cooking or guitar") == {"d3", "d4"}
-
-    def test_not(self, index):
-        assert search(index, "not database") == {"d3", "d4"}
-
-    def test_parens(self, index):
-        result = search(index, "(database or guitar) and tuning")
-        assert result == {"d1", "d3"}
-
     def test_wildcard_prefix(self, index):
-        assert search(index, "index*") == {"d3"}
+        assert Wildcard("index*").keys(index) == {"d3"}
 
     def test_wildcard_question(self, index):
         assert Wildcard("d?ta").docs(index) == Term("data").docs(index)
-
-    def test_match_all(self, index):
-        assert len(MatchAll().docs(index)) == 4
-
-    def test_empty_query_rejected(self):
-        with pytest.raises(QuerySyntaxError):
-            parse_query("   ")
-
-    def test_unbalanced_paren_rejected(self):
-        with pytest.raises(QuerySyntaxError):
-            parse_query("(a or b")
 
     def test_multiword_term_becomes_phrase(self, index):
         # Term("database tuning") analyzes to two tokens -> phrase
         assert Term("database tuning").docs(index) == {
             index.doc_of("d1")
         }
-
-
-class TestScoring:
-    def test_ranked_by_relevance(self, index):
-        ranked = score_tfidf(index, "database tuning")
-        assert ranked[0][0] == "d1"  # contains both terms, twice
-
-    def test_scores_positive_and_sorted(self, index):
-        ranked = score_tfidf(index, "database")
-        scores = [s for _, s in ranked]
-        assert all(s > 0 for s in scores)
-        assert scores == sorted(scores, reverse=True)
-
-    def test_limit(self, index):
-        assert len(score_tfidf(index, "database", limit=1)) == 1
-
-    def test_empty_index(self):
-        assert score_tfidf(InvertedIndex(), "term") == []
-
-    def test_score_query_filters_then_ranks(self, index):
-        ranked = score_query(index, Term("tuning"), "tuning")
-        assert {key for key, _ in ranked} == {"d1", "d3"}
 
 
 class TestReplicaBehavior:

@@ -63,21 +63,15 @@ class TestCliEdges:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
-    def test_search_no_matches(self, capsys):
-        from repro.cli import main
-        assert main(["search", "zzyzxunfindable", "--scale", "0.001"]) == 0
-        assert "no matches" in capsys.readouterr().out
-
 
 class TestAnalyzerStopwordConstant:
     def test_default_index_keeps_stopwords(self):
         """The default analyzer indexes everything (see the module's
         rationale: phrase queries must not break on function words)."""
-        from repro.fulltext import InvertedIndex
-        from repro.fulltext.query import search
+        from repro.fulltext import InvertedIndex, Phrase
         index = InvertedIndex()
         index.add("d", "to be or not to be")
-        assert search(index, '"to be or not to be"') == {"d"}
+        assert Phrase.of("to be or not to be").keys(index) == {"d"}
 
 
 class TestCatalogChildCounts:
