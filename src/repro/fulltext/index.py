@@ -36,11 +36,6 @@ def _global_dictionary():
     return global_uri_dictionary()
 
 
-def _new_keyset():
-    from ..rvm.keyset import KeySet
-    return KeySet()
-
-
 class InvertedIndex:
     """A positional inverted index keyed by catalog ids."""
 
@@ -50,8 +45,10 @@ class InvertedIndex:
         self.store_text = store_text
         self._dictionary = _global_dictionary()
         self._terms: dict[str, PostingsList] = {}
-        self._docs = _new_keyset()
         self._doc_lengths: dict[int, int] = {}
+        #: doc -> the postings lists holding it, so removal walks the
+        #: document's terms and not the whole term dictionary
+        self._doc_postings: dict[int, tuple[PostingsList, ...]] = {}
         self._stored_text: dict[int, str] = {}
         self._total_input_bytes = 0
 
@@ -63,20 +60,40 @@ class InvertedIndex:
         doc = self._dictionary.intern(key)
         if doc in self._doc_lengths:
             self._remove_doc(doc)
-        self._docs.add(doc)
         terms = self._terms
+        held = []
         length = 0
         for term, positions in self.analyzer.positions(text).items():
             postings = terms.get(term)
             if postings is None:
-                postings = terms[term] = PostingsList()
+                postings = terms[term] = PostingsList(term)
             postings.add_doc(doc, positions)
+            held.append(postings)
             length += len(positions)
+        self._doc_postings[doc] = tuple(held)
         self._doc_lengths[doc] = length
         self._total_input_bytes += len(text.encode("utf-8", "replace"))
         if self.store_text:
             self._stored_text[doc] = text
         return doc
+
+    def restore(self, lengths: dict[str, int], rows) -> None:
+        """Bulk-load a snapshot into this empty index: ``lengths`` maps
+        each document key to its length, and ``rows`` yields ``(term,
+        [[key, positions], ...])``. Each term's ``{doc: positions}`` dict
+        is stored as built; a key without a length is skipped."""
+        intern = self._dictionary.intern
+        docs = {key: intern(key) for key in lengths}
+        held = {doc: [] for doc in docs.values()}
+        for term, entries in rows:
+            positions = {docs[key]: doc_positions
+                         for key, doc_positions in entries if key in docs}
+            postings = self._terms[term] = PostingsList(term, positions)
+            for doc in positions:
+                held[doc].append(postings)
+        for key, doc in docs.items():
+            self._doc_lengths[doc] = lengths[key]
+            self._doc_postings[doc] = tuple(held[doc])
 
     def remove(self, key: str) -> bool:
         """Remove a document; returns True when it was present."""
@@ -86,15 +103,13 @@ class InvertedIndex:
         return self._remove_doc(doc)
 
     def _remove_doc(self, doc: int) -> bool:
-        self._docs.discard(doc)
         self._doc_lengths.pop(doc, None)
         self._stored_text.pop(doc, None)
-        empty_terms = []
-        for term, postings in self._terms.items():
-            if postings.remove_doc(doc) and not postings:
-                empty_terms.append(term)
-        for term in empty_terms:
-            del self._terms[term]
+        terms = self._terms
+        for postings in self._doc_postings.pop(doc, ()):
+            postings.remove_doc(doc)
+            if not postings:
+                del terms[postings.term]
         return True
 
     # -- read path --------------------------------------------------------------
@@ -154,12 +169,7 @@ class InvertedIndex:
         return self._stored_text[doc]
 
     def all_doc_ids(self) -> list[int]:
-        return self._docs.to_list()
-
-    def doc_set(self):
-        """The live :class:`~repro.rvm.keyset.KeySet` of every indexed
-        document's catalog id (read-only by convention)."""
-        return self._docs
+        return sorted(self._doc_lengths)
 
     def stored_items(self) -> Iterator[tuple[str, str]]:
         """Iterate ``(key, original text)`` pairs (replica indexes only).
@@ -193,7 +203,9 @@ class InvertedIndex:
         postings = sum(p.size_bytes() for p in self._terms.values())
         stored = sum(len(t.encode("utf-8", "replace")) + 8
                      for t in self._stored_text.values())
-        doc_table = self._docs.size_bytes() + 12 * len(self._doc_lengths)
+        from ..rvm.keyset import KeySet  # deferred: see _global_dictionary
+        doc_table = (KeySet.from_iterable(self._doc_lengths).size_bytes()
+                     + 12 * len(self._doc_lengths))
         return dictionary + postings + stored + doc_table
 
     def stats(self) -> "IndexStats":

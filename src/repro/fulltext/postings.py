@@ -1,18 +1,15 @@
-"""Positional postings lists over compressed doc-id sets.
+"""Positional postings lists with a doc-id set derived on read.
 
 A postings list maps one term to the documents containing it, keeping
 per-document occurrence positions for phrase matching. Documents are
-identified by the process-wide *catalog ids* of the URI dictionary
-(since the keyset refactor, DESIGN.md §4j — there is no per-index doc
-id space any more), and the membership set is a
-:class:`~repro.rvm.keyset.KeySet`: phrase and wildcard queries
-combine postings with word-parallel bitmap algebra, and the query
-engine receives the id set as-is, with no string conversion.
+the process-wide *catalog ids* of the URI dictionary (DESIGN.md §4j).
+A write is one store into a plain ``{doc: positions}`` dict; the
+membership :class:`~repro.rvm.keyset.KeySet` that phrase and wildcard
+queries combine, and the query engine receives as-is, is derived from
+the dict's keys by the first reader after a write.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 
 def _keyset_of(ids):
@@ -22,89 +19,75 @@ def _keyset_of(ids):
     return KeySet.from_iterable(ids)
 
 
-@dataclass(slots=True)
-class Posting:
-    """One (document, positions) entry of a postings list."""
-
-    doc: int
-    positions: list[int] = field(default_factory=list)
-
-    def size_bytes(self) -> int:
-        """Approximate serialized size: 4 bytes per position.
-
-        Document membership is *not* counted here — the list's
-        compressed keyset accounts for it (see
-        :meth:`PostingsList.size_bytes`); Table 3 of the paper reports
-        index sizes, and this is what we sum there.
-        """
-        return 4 * len(self.positions)
-
-
 class PostingsList:
-    """The postings of one term: a compressed doc-id set plus the
-    per-document position lists.
+    """The postings of one term: ``{doc: ascending positions}`` plus the
+    doc set derived from it.
 
-    One writer, many readers (DESIGN.md §4j): readers walk the doc set
-    and look each doc up in ``_by_doc``, so a posting is stored before
-    its doc joins the set and leaves the set before it is dropped.
+    One writer, many readers (DESIGN.md §4j): a write is one dict store
+    or pop followed by an epoch bump. :meth:`doc_set` serves its cached
+    set only while the epoch it was built at is current; the reader
+    takes the epoch *before* it snapshots the keys, so a set that raced
+    a write carries the older epoch and the next reader rebuilds it.
     """
 
-    __slots__ = ("_docs", "_by_doc")
+    __slots__ = ("term", "_positions", "_epoch", "_doc_set")
 
-    def __init__(self, positions: dict[int, list[int]] | None = None
-                 ) -> None:
-        """Empty, or bulk-built from ``{doc: ascending positions}``."""
-        self._by_doc: dict[int, Posting] = {
-            doc: Posting(doc, doc_positions)
-            for doc, doc_positions in (positions or {}).items()
-        }
-        self._docs = _keyset_of(self._by_doc)
+    def __init__(self, term: str,
+                 positions: dict[int, list[int]] | None = None) -> None:
+        """Empty, or holding ``{doc: ascending positions}`` as given."""
+        self.term = term
+        self._positions: dict[int, list[int]] = positions or {}
+        self._epoch = 0
+        #: ``(epoch, KeySet)`` of the last build, or None
+        self._doc_set = None
 
     def add_doc(self, doc: int, positions: list[int]) -> None:
         """Record every occurrence of the term in ``doc`` (not yet in the
         list): ``positions`` is complete and ascending."""
-        self._by_doc[doc] = Posting(doc, positions)
-        self._docs.add(doc)
+        self._positions[doc] = positions
+        self._epoch += 1
 
-    def remove_doc(self, doc: int) -> bool:
-        """Drop a document's posting; returns True when it existed."""
-        if doc not in self._by_doc:
-            return False
-        self._docs.discard(doc)
-        del self._by_doc[doc]
-        return True
+    def remove_doc(self, doc: int) -> None:
+        """Drop a listed document's positions."""
+        del self._positions[doc]
+        self._epoch += 1
 
-    def get(self, doc: int) -> Posting | None:
-        return self._by_doc.get(doc)
+    def get(self, doc: int) -> list[int] | None:
+        """The document's positions, or None when it is not listed."""
+        return self._positions.get(doc)
 
     def doc_ids(self) -> list[int]:
-        return self._docs.to_list()
+        return sorted(self._positions)
 
     def doc_set(self):
-        """The live :class:`~repro.rvm.keyset.KeySet` of doc ids.
+        """The :class:`~repro.rvm.keyset.KeySet` of doc ids, built here
+        when a write moved the epoch since the last build.
 
         Shared, not copied — callers must treat it as read-only (the
         full-text query leaves do: every keyset op allocates a fresh
         result).
         """
-        return self._docs
-
-    @property
-    def document_frequency(self) -> int:
-        return len(self._by_doc)
+        epoch = self._epoch
+        cached = self._doc_set
+        if cached is not None and cached[0] == epoch:
+            return cached[1]
+        # set(dict) inside from_iterable is one interpreter-lock-held
+        # call, so it never sees the dict resize under a write
+        docs = _keyset_of(self._positions)
+        self._doc_set = (epoch, docs)
+        return docs
 
     def __iter__(self):
-        by_doc = self._by_doc
-        return (by_doc[doc] for doc in self._docs)
+        """``(doc, positions)`` pairs in ascending doc order."""
+        return iter(sorted(self._positions.items()))
 
     def __len__(self) -> int:
-        return len(self._by_doc)
-
-    def __bool__(self) -> bool:
-        return bool(self._by_doc)
+        """The document frequency."""
+        return len(self._positions)
 
     def size_bytes(self) -> int:
-        """Compressed layout: the keyset's footprint plus positions."""
-        return self._docs.size_bytes() + sum(
-            p.size_bytes() for p in self._by_doc.values()
-        )
+        """Compressed layout: the doc set's footprint plus 4 bytes per
+        position (Table 3 of the paper reports index sizes, and this is
+        what we sum there)."""
+        return self.doc_set().size_bytes() + 4 * sum(
+            map(len, self._positions.values()))

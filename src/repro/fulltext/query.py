@@ -128,7 +128,7 @@ def _consecutive(lists, doc: int) -> bool:
     entries = [postings.get(doc) for postings in lists]
     if any(entry is None for entry in entries):
         return False
-    first, *following = (set(entry.positions) for entry in entries)
+    first, *following = map(set, entries)
     return any(all(start + offset in positions
                    for offset, positions in enumerate(following, 1))
                for start in first)

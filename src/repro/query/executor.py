@@ -271,7 +271,7 @@ class ExecutionContext:
             postings = index.postings(term)
             if postings is None:
                 return 0
-            frequencies.append(postings.document_frequency)
+            frequencies.append(len(postings))
         return min(frequencies)
 
     @staticmethod

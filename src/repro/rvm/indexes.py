@@ -66,6 +66,8 @@ class IndexSet:
         name = view.name
         if name:
             self.name_index.add(uri, name)
+        else:
+            self.name_index.remove(uri)
         self.tuple_index.add(uri, view.tuple_component)
         content = view.content
         raw = (content.text() if content.is_finite
@@ -78,13 +80,17 @@ class IndexSet:
         """Index one view's already-extracted content text.
 
         The single content dispatch point: text goes to the full-text
-        index (and into the net-input accounting). WAL replay re-applies
+        index (and into the net-input accounting); anything else drops
+        the view's earlier postings, so rewriting a file to empty or
+        binary content leaves no stale match. WAL replay re-applies
         logged content through here, so replayed state matches live
         indexing exactly.
         """
         if raw and _looks_like_text(raw):
             self.content_index.add(uri, raw)
             self._net_input_bytes += len(raw.encode("utf-8", "replace"))
+        else:
+            self.content_index.remove(uri)
 
     def remove_view(self, view_id: ViewId | str) -> None:
         uri = view_id if isinstance(view_id, str) else view_id.uri

@@ -183,8 +183,8 @@ def _write_snapshot(rvm: ResourceViewManager, base: Path, *,
     content_rows = (
         {
             "term": term,
-            "postings": [[content.key_of(p.doc), p.positions]
-                         for p in content.postings(term)],
+            "postings": [[content.key_of(doc), positions]
+                         for doc, positions in content.postings(term)],
         }
         for term in sorted(content.terms_matching(lambda t: True))
     )
@@ -287,20 +287,12 @@ def load_state(rvm: ResourceViewManager, directory: str | Path) -> dict:
     for row in _read_jsonl(base / "names.jsonl"):
         rvm.indexes.name_index.add(row["uri"], row["name"])
 
-    content = rvm.indexes.content_index
-    # register documents first so lengths and ids survive, then postings
-    docs = {}
-    for row in _read_jsonl(base / "content_docs.jsonl"):
-        doc = docs[row["uri"]] = content.add(row["uri"], "")
-        content._doc_lengths[doc] = row["length"]  # noqa: SLF001
-    from ..fulltext.postings import PostingsList
-    terms = content._terms  # noqa: SLF001 - snapshot restore
-    for row in _read_jsonl(base / "content.jsonl"):
-        # one bulk build per term (defensive: a uri with no content_docs
-        # row is skipped)
-        terms[row["term"]] = PostingsList(
-            {docs[uri]: doc_positions
-             for uri, doc_positions in row["postings"] if uri in docs})
+    rvm.indexes.content_index.restore(
+        {row["uri"]: row["length"]
+         for row in _read_jsonl(base / "content_docs.jsonl")},
+        ((row["term"], row["postings"])
+         for row in _read_jsonl(base / "content.jsonl")),
+    )
 
     for row in _read_jsonl(base / "tuples.jsonl"):
         values = {k: decode_value(v) for k, v in row["values"].items()}

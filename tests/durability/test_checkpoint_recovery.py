@@ -132,6 +132,24 @@ class TestRecovery:
         assert set(reopened.query('"database"').uris()) \
             == set(dataspace.query('"database"').uris())
 
+    @pytest.mark.parametrize("rewritten", ["", "\x00\x01\x02\x03" * 50],
+                             ids=["empty", "binary"])
+    def test_wal_only_replay_drops_postings_of_unindexed_rewrite(
+            self, tmp_path, rewritten):
+        dataspace = durable_tiny(tmp_path / "space")
+        dataspace.sync()
+        dataspace.watch()
+        dataspace.vfs.write_file("/Projects/a.txt", "zzuniqueword hello")
+        dataspace.refresh()
+        dataspace.vfs.write_file("/Projects/a.txt", rewritten)
+        dataspace.refresh()
+        assert len(dataspace.query('"zzuniqueword"')) == 0
+        dataspace.close()
+        reopened = Dataspace.open(tmp_path / "space", durable=False)
+        assert not reopened.last_recovery.from_checkpoint
+        assert len(reopened.query('"zzuniqueword"')) == 0
+        assert reopened.index_sizes() == dataspace.index_sizes()
+
     def test_durable_reopen_appends_at_recovered_tail(self, tmp_path):
         dataspace = durable_tiny(tmp_path / "space")
         dataspace.sync()

@@ -2,6 +2,8 @@
 
 from datetime import datetime
 
+import pytest
+
 from repro.facade import Dataspace
 from repro.imapsim import Attachment, EmailMessage
 from repro.rss import FeedEntry
@@ -51,6 +53,21 @@ class TestFilesystemPropagation:
         ds.refresh()
         assert len(ds.query('"veritas"')) == 0
         assert len(ds.query('"mutatis"')) == 1
+
+    @pytest.mark.parametrize("rewritten", ["", "\x00\x01\x02\x03" * 50],
+                             ids=["empty", "binary"])
+    def test_rewrite_to_unindexed_content_drops_old_postings(
+            self, generated_tiny, rewritten):
+        ds = Dataspace(vfs=generated_tiny.vfs, imap=generated_tiny.imap)
+        ds.sync()
+        ds.watch()
+        generated_tiny.vfs.write_file("/Projects/a.txt",
+                                      "zzuniqueword hello")
+        ds.refresh()
+        assert ds.query('"zzuniqueword"').uris() == ["fs:///Projects/a.txt"]
+        generated_tiny.vfs.write_file("/Projects/a.txt", rewritten)
+        ds.refresh()
+        assert len(ds.query('"zzuniqueword"')) == 0
 
 
 class TestEmailPropagation:

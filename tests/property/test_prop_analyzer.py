@@ -67,18 +67,20 @@ def _reference_add(index, key, text):
     doc = index._dictionary.intern(key)
     if doc in index._doc_lengths:
         index._remove_doc(doc)
-    index._docs.add(doc)
+    held = []
     length = 0
     for token in _reference_tokens(index.analyzer, text):
         postings = index._terms.get(token.term)
         if postings is None:
-            postings = index._terms[token.term] = PostingsList()
-        posting = postings.get(doc)
-        if posting is None:
+            postings = index._terms[token.term] = PostingsList(token.term)
+        positions = postings.get(doc)
+        if positions is None:
             postings.add_doc(doc, [token.position])
+            held.append(postings)
         else:
-            posting.positions.append(token.position)
+            positions.append(token.position)
         length += 1
+    index._doc_postings[doc] = tuple(held)
     index._doc_lengths[doc] = length
     index._total_input_bytes += len(text.encode("utf-8", "replace"))
     if index.store_text:
@@ -142,10 +144,9 @@ def _snapshot(index):
         "terms": terms,
         "postings": {
             term: (index.postings(term).doc_set(),
-                   [(p.doc, p.positions) for p in index.postings(term)])
+                   list(index.postings(term)))
             for term in terms
         },
-        "docs": index.doc_set(),
         "lengths": {doc: index.doc_length(doc)
                     for doc in index.all_doc_ids()},
         "input_bytes": index.total_input_bytes,

@@ -114,3 +114,63 @@ class TestRemovalInvariants:
             index.remove(f"d{position}")
         assert index.document_count == 0
         assert index.term_count == 0
+
+
+_KEYS = st.sampled_from(["w1", "w2", "w3", "w4"])
+_SMALL_TEXT = st.lists(st.sampled_from(["data", "base", "tuning", "x", "y"]),
+                       max_size=8).map(" ".join)
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("add"), _KEYS, _SMALL_TEXT),
+    st.tuples(st.just("remove"), _KEYS),
+    st.tuples(st.just("read"), st.sampled_from(["data", "base", "x"])),
+), min_size=1, max_size=30)
+
+
+def _keyset_bytes(ids):
+    from repro.rvm.keyset import KeySet
+    return KeySet.from_iterable(ids).size_bytes()
+
+
+def _check_against_oracle(index, oracle):
+    """``oracle``: key -> {term: positions}, the documents indexed now."""
+    doc_of = {key: index.doc_of(key) for key in oracle}
+    expected: dict[str, dict[int, list[int]]] = {}
+    for key, terms in oracle.items():
+        for term, positions in terms.items():
+            expected.setdefault(term, {})[doc_of[key]] = positions
+    assert index.all_doc_ids() == sorted(doc_of.values())
+    assert set(index.terms_matching(lambda term: True)) == set(expected)
+    for term, by_doc in expected.items():
+        postings = index.postings(term)
+        assert postings.doc_set().to_list() == sorted(by_doc)
+        assert list(postings) == sorted(by_doc.items())
+        assert len(postings) == len(by_doc)
+    assert index.size_bytes() == (
+        sum(len(term.encode("utf-8")) + 8 for term in expected)
+        + sum(_keyset_bytes(by_doc)
+              + 4 * sum(map(len, by_doc.values()))
+              for by_doc in expected.values())
+        + _keyset_bytes(doc_of.values()) + 12 * len(doc_of))
+
+
+class TestWritesAgainstOracle:
+    @given(_OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_add_readd_remove_with_reads_between(self, ops):
+        """Reads between writes fill each term's cached doc set; after
+        every step the index still equals a dict/set oracle."""
+        index = InvertedIndex()
+        oracle: dict[str, dict[str, list[int]]] = {}
+        for op in ops:
+            if op[0] == "add":
+                _, key, text = op
+                index.add(key, text)
+                oracle[key] = DEFAULT_ANALYZER.positions(text)
+            elif op[0] == "remove":
+                assert index.remove(op[1]) == (oracle.pop(op[1], None)
+                                               is not None)
+            else:
+                postings = index.postings(op[1])
+                if postings is not None:
+                    postings.doc_set()
+            _check_against_oracle(index, oracle)

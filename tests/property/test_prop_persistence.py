@@ -72,8 +72,8 @@ def _populate(rvm, views):
 def _postings_map(content):
     return {
         term: sorted(
-            (content.key_of(p.doc), tuple(p.positions))
-            for p in content.postings(term)
+            (content.key_of(doc), tuple(positions))
+            for doc, positions in content.postings(term)
         )
         for term in content.terms_matching(lambda t: True)
     }

@@ -121,8 +121,8 @@ class TestRoundTrip:
 def _content_state(content):
     return {
         term: (content.postings(term).doc_ids(),
-               {content.key_of(p.doc): p.positions
-                for p in content.postings(term)})
+               {content.key_of(doc): positions
+                for doc, positions in content.postings(term)})
         for term in content.terms_matching(lambda term: True)
     }, {content.key_of(doc): content.doc_length(doc)
         for doc in content.all_doc_ids()}
@@ -150,7 +150,7 @@ class TestContentPostingsRoundTrip:
             == content.postings("common").doc_set()
         assert _content_state(loaded) == _content_state(content)
         assert loaded.postings("common").get(
-            loaded.doc_of("fs:///dense/1")).positions == [0, 2, 4, 6]
+            loaded.doc_of("fs:///dense/1")) == [0, 2, 4, 6]
         assert loaded.size_bytes() == content.size_bytes()
 
 

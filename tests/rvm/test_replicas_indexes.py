@@ -299,6 +299,17 @@ class TestIndexSet:
         indexes.add_view(view)
         assert view.view_id.uri not in indexes.name_index
 
+    def test_readding_without_name_or_text_drops_old_entries(self):
+        indexes = IndexSet()
+        indexes.add_view(self._file(path="/r.txt", name="r.txt",
+                                    text="zzuniqueword"))
+        uri = "fs:///r.txt"
+        indexes.add_view(_view("/r.txt", "", content="\x00\x01" * 100))
+        assert uri not in indexes.name_index
+        assert uri not in indexes.content_index
+        assert indexes.content_index.postings("zzuniqueword") is None
+        assert indexes.name_index.term_count == 0
+
     def test_name_replica_serves_names(self):
         indexes = IndexSet()
         view = self._file(name="Grant Proposal.doc")

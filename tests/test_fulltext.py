@@ -83,63 +83,142 @@ class TestIndexWrites:
         assert index.doc_length(index.doc_of("d1")) == 8
 
 
-class _PublishOrderSpy:
-    """Stands in for a postings list's doc set and checks, on every
-    write, what a concurrent reader of that set would find: each doc in
-    the set must have its posting — already complete when it joins,
-    still there when it leaves."""
-
-    def __init__(self, docs, by_doc):
-        self._docs, self._by_doc = docs, by_doc
-        #: doc -> its positions at the moment it joined the set
-        self.published = {}
-
-    def add(self, doc):
-        assert doc in self._by_doc, "doc joined the set before its posting"
-        self.published[doc] = list(self._by_doc[doc].positions)
-        return self._docs.add(doc)
-
-    def discard(self, doc):
-        assert doc in self._by_doc, "posting dropped before its doc left"
-        return self._docs.discard(doc)
-
-    def __getattr__(self, name):
-        return getattr(self._docs, name)
-
-
 class TestPostingsPublishOrder:
-    """One writer, many readers (DESIGN.md §4j): a phrase check and
-    ``PostingsList`` iteration walk the doc set and look each doc up in
-    the posting map, so a read during ``refresh()`` must never find a
-    doc without its posting."""
+    """One writer, many readers (DESIGN.md §4j): a postings list's doc
+    set is derived from its ``{doc: positions}`` dict, so a doc becomes
+    visible to a reader exactly when its complete positions are stored,
+    and a phrase check never finds a listed doc without them."""
 
     def test_posting_is_complete_before_its_doc_is_visible(self,
                                                            monkeypatch):
-        from repro.fulltext import index as index_module
-        from repro.fulltext.postings import PostingsList
+        from repro.fulltext import postings as postings_module
 
-        spies = []
+        built = []
+        keyset_of = postings_module._keyset_of
 
-        class SpiedPostings(PostingsList):
-            __slots__ = ()
+        def spy(positions):
+            # what this build publishes: every doc with the positions it
+            # holds at that moment
+            built.append({doc: list(positions[doc]) for doc in positions})
+            return keyset_of(positions)
 
-            def __init__(self):
-                super().__init__()
-                self._docs = _PublishOrderSpy(self._docs, self._by_doc)
-                spies.append(self._docs)
-
-        monkeypatch.setattr(index_module, "PostingsList", SpiedPostings)
+        monkeypatch.setattr(postings_module, "_keyset_of", spy)
         idx = InvertedIndex()
         idx.add("spy1", "tuning database tuning tuning")
         doc = idx.doc_of("spy1")
-        # each posting became visible holding every position it will hold
-        assert [spy.published for spy in spies] == [{doc: [0, 2, 3]},
-                                                    {doc: [1]}]
+        assert built == []  # writes build nothing
+        tuning, database = idx.postings("tuning"), idx.postings("database")
+        assert tuning.doc_set().to_list() == [doc]
+        assert database.doc_set().to_list() == [doc]
+        # each doc became visible holding every position it will hold
+        assert built == [{doc: [0, 2, 3]}, {doc: [1]}]
+        tuning.doc_set()
+        assert len(built) == 2  # no write since: the cached set is served
         idx.add("spy2", "database")
         idx.add("spy1", "database again")  # re-add: leaves, then rejoins
+        assert database.doc_set().to_list() == sorted(
+            [doc, idx.doc_of("spy2")])
+        assert idx.postings("tuning") is None
         assert idx.remove("spy1")
         assert idx.remove("spy2")
         assert idx.term_count == 0
+
+
+class TestDocSetCache:
+    """The epoch rule, driven deterministically: a write that lands
+    while :meth:`PostingsList.doc_set` builds is never served stale by
+    a later read. No threads, no sleeps — the builder is patched to
+    make the write itself."""
+
+    @pytest.mark.parametrize("lands", ["before_snapshot", "after_snapshot"])
+    def test_write_during_build_reaches_the_next_read(self, monkeypatch,
+                                                      lands):
+        from repro.fulltext import postings as postings_module
+        from repro.fulltext.postings import PostingsList
+
+        postings = PostingsList("t", {1: [0], 2: [3]})
+        keyset_of = postings_module._keyset_of
+        raced = []
+
+        def racing_build(positions):
+            if raced:
+                return keyset_of(positions)
+            raced.append(True)
+            if lands == "before_snapshot":
+                postings.add_doc(7, [1])
+                return keyset_of(positions)
+            built = keyset_of(positions)
+            postings.add_doc(7, [1])
+            return built
+
+        monkeypatch.setattr(postings_module, "_keyset_of", racing_build)
+        first = postings.doc_set().to_list()
+        assert first in ([1, 2], [1, 2, 7])  # either side of the race
+        assert postings.doc_set().to_list() == [1, 2, 7]
+        assert postings.doc_set() is postings.doc_set()
+
+    def test_removal_during_build_reaches_the_next_read(self, monkeypatch):
+        from repro.fulltext import postings as postings_module
+        from repro.fulltext.postings import PostingsList
+
+        postings = PostingsList("t", {1: [0], 2: [3]})
+        keyset_of = postings_module._keyset_of
+
+        def racing_build(positions):
+            built = keyset_of(positions)
+            if 2 in positions:
+                postings.remove_doc(2)
+            return built
+
+        monkeypatch.setattr(postings_module, "_keyset_of", racing_build)
+        assert postings.doc_set().to_list() == [1, 2]
+        assert postings.doc_set().to_list() == [1]
+        # the raced doc is gone from the positions, so a phrase check
+        # over the stale set simply finds no match for it
+        assert postings.get(2) is None
+
+    def test_readers_beside_one_writer_end_on_the_final_sets(self):
+        """Stress, time-bounded: reader threads fill the caches while
+        one writer adds and removes; once it stops, every term's set is
+        its current keys — a stale cached set would survive here."""
+        import sys
+        import threading
+
+        idx = InvertedIndex()
+        stop = threading.Event()
+        errors = []
+
+        def read():
+            while not stop.is_set():
+                for term in ("alpha", "beta"):
+                    postings = idx.postings(term)
+                    if postings is None:
+                        continue
+                    try:
+                        postings.doc_set().to_list()
+                    except Exception as error:  # noqa: BLE001 - reported
+                        errors.append(error)
+
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for reader in readers:
+                reader.start()
+            for i in range(2000):
+                idx.add(f"k{i % 50}", "alpha beta" if i % 3 else "alpha")
+                if i % 7 == 0:
+                    idx.remove(f"k{i * 3 % 50}")
+        finally:
+            stop.set()
+            for reader in readers:
+                reader.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert errors == []
+        for term in ("alpha", "beta"):
+            postings = idx.postings(term)
+            assert postings.doc_set().to_list() == postings.doc_ids()
 
 
 class TestQueries:
